@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark of nilcert, run in-process from the root of a checkout.
 
-    python3 perfbench/run.py --workload normal-form --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20
+    python3 perfbench/run.py --workload normal-form --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 30
     python3 perfbench/run.py --selftest
 
 A run sets up (loads every input), then runs whole rounds of operations
@@ -13,6 +13,7 @@ a run with spans around nilcert's public functions.  See README.md.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -98,6 +99,10 @@ def run_op(op, tracer, op_id):
         op.prepare()
     if tracer is not None:
         tracer.op_id = op_id
+    # Untimed: each operation starts from a collected heap, as a command
+    # run starts from a fresh process, so no operation pays for collecting
+    # an earlier one's garbage.
+    gc.collect()
     start = clock()
     try:
         with time_limit(op.limit or SAFETY_LIMIT_S):
@@ -238,7 +243,7 @@ def main(argv=None):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=list(W.WORKLOADS) + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true",
                         help="check the models against every relation, without timing")
