@@ -31,20 +31,15 @@ from .formats import (
     parse_pcp,
     serialize_pcp,
 )
-from .gogiso import (
-    GroupMap,
-    decide_gog_iso,
-    handle_generators,
-    verify_gog_witness,
-)
+from .gogiso import GroupMap, decide_gog_iso, identity_map, verify_gog_witness
 from .malcev import QMatrix, embed_matrix_group, expm, logm, matrix_to_json
 from .nilgroup import (
-    FiniteGroupTable,
     GroupHom,
     Inconsistent,
     NotNilpotent,
     PcPresentation,
     Subgroup,
+    serialize_element,
     torsion_data,
     upper_central_series,
 )
@@ -55,16 +50,8 @@ from .outsep import (
     elusive_elements,
     separate_torsion,
 )
-from .whitehead import (
-    verify_abelian_witness,
-    verify_finite_witness,
-    verify_nilpotent_witness,
-    verify_quotient_refutation,
-    whitehead_abelian,
-    whitehead_finite,
-    whitehead_nilpotent,
-)
-from .zmod import AbelianModule, CapExceeded
+from .whitehead import solve_whitehead, verify_quotient_refutation, verify_whitehead_witness
+from .zmod import CapExceeded, IndexInfinite
 
 DEFAULT_CAP = 10**6
 
@@ -269,12 +256,6 @@ def cmd_separate_torsion(args):
     return result, payload, lines, 0, ["certificate verified during construction"]
 
 
-def _element_out(group, x):
-    if isinstance(group, FiniteGroupTable):
-        return int(x)
-    return list(x)
-
-
 def _whitehead_parts(instance, base_dir, cap):
     if not isinstance(instance, dict):
         raise CliError("parse", "instance must be a JSON object")
@@ -288,23 +269,17 @@ def _whitehead_parts(instance, base_dir, cap):
     return spec, group, s, t
 
 
-def _run_whitehead(group, s, t, budget, cap):
-    if isinstance(group, AbelianModule):
-        return whitehead_abelian(group, s, t)
-    if isinstance(group, FiniteGroupTable):
-        return whitehead_finite(group, s, t)
-    return whitehead_nilpotent(group, s, t, budget=budget, quotient_cap=cap)
-
-
 def cmd_whitehead(args):
     instance = _read_json(args.instance)
     base_dir = os.path.dirname(args.instance) or "."
     spec, group, s, t = _whitehead_parts(instance, base_dir, args.quotient_cap)
-    verdict = _run_whitehead(group, s, t, args.budget, args.quotient_cap)
+    verdict = solve_whitehead(
+        group, s, t, budget=args.budget, quotient_cap=args.quotient_cap
+    )
     problem = {
         "group": spec,
-        "s": [[_element_out(group, x) for x in tup] for tup in s],
-        "t": [[_element_out(group, x) for x in tup] for tup in t],
+        "s": [[serialize_element(x) for x in tup] for tup in s],
+        "t": [[serialize_element(x) for x in tup] for tup in t],
         "budget": args.budget,
         "quotient_cap": args.quotient_cap,
     }
@@ -313,19 +288,11 @@ def cmd_whitehead(args):
     code = 2 if verdict.is_unknown() else 0
     transcript = []
     if verdict.is_equivalent():
-        ok = _check_whitehead_witness(group, s, t, result["witness"])
+        ok = verify_whitehead_witness(group, s, t, result["witness"])
         transcript.append("witness re-verified" if ok else "witness check FAILED")
         if not ok:
             raise CliError("internal", "emitted witness failed re-verification")
     return result, payload, [verdict.kind], code, transcript
-
-
-def _check_whitehead_witness(group, s, t, witness):
-    if isinstance(group, AbelianModule):
-        return verify_abelian_witness(group, s, t, witness)
-    if isinstance(group, FiniteGroupTable):
-        return verify_finite_witness(group, s, t, witness)
-    return verify_nilpotent_witness(group, s, t, witness)
 
 
 def _orbit_maps(gog, orbits_data, which="second structure"):
@@ -352,7 +319,7 @@ def _orbit_maps(gog, orbits_data, which="second structure"):
                 )
             lists[v] = entries
         else:
-            lists[v] = [GroupMap(h, h, handle_generators(h), check=False)]
+            lists[v] = [identity_map(h)]
     return lists
 
 
@@ -506,7 +473,7 @@ def _verify_whitehead(problem, result, transcript):
     t = [[parse_element(group, x) for x in tup] for tup in problem["t"]]
     kind = result["kind"]
     if kind == "equivalent":
-        if not _check_whitehead_witness(group, s, t, result["witness"]):
+        if not verify_whitehead_witness(group, s, t, result["witness"]):
             raise VerifyFailure("witness fails re-verification")
         transcript.append("witness re-verified")
         return
@@ -517,14 +484,14 @@ def _verify_whitehead(problem, result, transcript):
                 raise VerifyFailure("quotient refutation fails re-verification")
             transcript.append("quotient refutation re-verified")
             return
-        fresh = _run_whitehead(
+        fresh = solve_whitehead(
             group, s, t, problem.get("budget", 2), problem.get("quotient_cap", DEFAULT_CAP)
         )
         if fresh.kind != kind:
             raise VerifyFailure("complete solver disagrees with the logged verdict")
         transcript.append("verdict recomputed by the complete solver")
         return
-    fresh = _run_whitehead(
+    fresh = solve_whitehead(
         group, s, t, problem.get("budget", 2), problem.get("quotient_cap", DEFAULT_CAP)
     )
     if fresh.kind != kind:
@@ -608,7 +575,7 @@ def cmd_verify(args):
     payload = data.get("payload", data) if isinstance(data, dict) else data
     try:
         transcript = verify_payload(payload)
-    except (VerifyFailure, FormatError, KeyError, TypeError, ValueError) as ex:
+    except (VerifyFailure, FormatError, IndexInfinite, KeyError, TypeError, ValueError) as ex:
         raise CliError("verify", f"verification failed: {ex}")
     result = {"verified": True, "kind": payload["kind"]}
     lines = [f"verified {payload['kind']}"] + transcript
@@ -636,8 +603,6 @@ def _add_common(sp):
         default=int(os.environ.get("NILCERT_QUOTIENT_CAP", DEFAULT_CAP)),
         help="largest finite quotient the tool will build",
     )
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized test harnesses (recorded only)")
 
 
 def build_parser():
@@ -734,8 +699,6 @@ def main(argv=None):
     except ValueError as ex:
         _emit_error(eff, "value", str(ex))
         return 1
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
     if args.json:
         print(json.dumps(result, sort_keys=True))
     else:

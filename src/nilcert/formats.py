@@ -44,7 +44,7 @@ import json
 import os
 import re
 
-from .gogiso import Graph, GraphOfGroups, GroupMap, serialize_element
+from .gogiso import Graph, GraphOfGroups, GroupMap
 from .nilgroup import Inconsistent, NotNilpotent, PcPresentation, Subgroup, quotient_table
 from .zmod import AbelianModule, CapExceeded
 
@@ -327,7 +327,7 @@ def group_from_spec(spec, base_dir=".", cap=10**6):
 
 def parse_element(group, value):
     """Element of a handle from its JSON form (index or exponent list)."""
-    if isinstance(group, AbelianModule) or isinstance(group, PcPresentation):
+    if isinstance(group, (AbelianModule, PcPresentation)):
         if not isinstance(value, (list, tuple)):
             raise FormatError("element must be an exponent vector")
         return tuple(int(x) for x in value)
@@ -471,18 +471,8 @@ def gog_from_data(raw, base_dir=".", cap=10**6) -> GogFile:
                 "origin": entry["origin"],
                 "terminal": entry["terminal"],
                 "group": egroup_ref[entry["name"]],
-                "attaching": [
-                    serialize_element(
-                        handles[vgroup_ref[terminal[entry["name"]]]], im
-                    )
-                    for im in attaching[entry["name"]].images
-                ],
-                "reverse_attaching": [
-                    serialize_element(
-                        handles[vgroup_ref[terminal[entry["reverse"]]]], im
-                    )
-                    for im in attaching[entry["reverse"]].images
-                ],
+                "attaching": attaching[entry["name"]].serialize(),
+                "reverse_attaching": attaching[entry["reverse"]].serialize(),
             }
             for entry in edge_entries
         ],

@@ -7,9 +7,11 @@ provides:
 
   - the ``Graph`` and ``GraphOfGroups`` containers with validated
     invariants, and deterministic graph isomorphism enumeration,
-  - ``GroupMap``: homomorphisms between the three supported group
-    handles (AbelianModule, FiniteGroupTable, PcPresentation), with
-    exact injectivity and surjectivity tests,
+  - ``GroupMap``: homomorphisms between vertex and edge groups, which
+    are AbelianModule, FiniteGroupTable or PcPresentation instances and
+    are used through the seven-method group interface described in the
+    ``nilgroup`` module docstring, with exact injectivity and
+    surjectivity tests,
   - diagram verifiers: ``verify_gog_isomorphism`` for graph-of-groups
     isomorphisms (vertex maps, edge maps and attaching elements), and
     ``verify_extension_adjustment`` for the two extension-adjustment
@@ -27,6 +29,7 @@ rest of the package, and abelian homomorphisms act on row vectors.
 """
 
 import itertools
+import math
 
 from .nilgroup import (
     FiniteGroupTable,
@@ -35,6 +38,7 @@ from .nilgroup import (
     Subgroup,
     _Igs,
     _lead,
+    serialize_element,
     torsion_data,
 )
 from .whitehead import (
@@ -43,168 +47,34 @@ from .whitehead import (
     UNKNOWN,
     Verdict,
     _slot_ranges,
-    whitehead_abelian,
-    whitehead_finite,
-    whitehead_nilpotent,
+    solve_whitehead,
 )
 from .zmod import AbelianModule, AdaptedQuotient, CapExceeded, IntMatrix, solve_integer
 
 
-# ---------------------------------------------------------------------------
-# group handles
-
-
-def _handle_kind(g):
+def _slot_orders(g):
+    """Relative orders of the coordinate slots of a module or pc group,
+    None for an infinite slot."""
     if isinstance(g, AbelianModule):
-        return "abelian"
-    if isinstance(g, FiniteGroupTable):
-        return "finite"
-    if isinstance(g, PcPresentation):
-        return "pc"
-    raise TypeError(f"unsupported group handle {type(g).__name__}")
-
-
-def handle_identity(g):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return (0,) * g.rank
-    if kind == "finite":
-        return g.identity
-    return g.identity()
-
-
-def handle_normalize(g, x):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.reduce(x)
-    if kind == "finite":
-        x = int(x)
-        if not 0 <= x < g.order:
-            raise ValueError(f"element index {x} is out of range")
-        return x
-    return g.normal_form(x)
-
-
-def handle_mul(g, a, b):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.reduce(tuple(p + q for p, q in zip(a, b)))
-    if kind == "finite":
-        return g.mult(a, b)
-    return g.multiply(a, b)
-
-
-def handle_inv(g, a):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.reduce(tuple(-p for p in a))
-    if kind == "finite":
-        return g.inv(a)
-    return g.invert(a)
-
-
-def handle_power(g, a, k):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.reduce(tuple(k * p for p in a))
-    if kind == "finite":
-        return g.power(a, k)
-    return g.power(a, k)
-
-
-def handle_conjugate(g, a, c):
-    """c^-1 a c."""
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.reduce(a)
-    if kind == "finite":
-        return g.conjugate(a, c)
-    return g.conjugate(a, c)
-
-
-def handle_generators(g):
-    """Canonical generators: coordinate vectors for modules, the pc
-    generators for presentations, a greedy generating set for tables."""
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(g.rank)) for i in range(g.rank)
-        )
-    if kind == "pc":
-        return tuple(g.gen(i) for i in range(g.n))
-    gens = []
-    reach = {g.identity}
-    for i in range(g.order):
-        if i in reach:
-            continue
-        gens.append(i)
-        reach = g.closure(gens)
-        if len(reach) == g.order:
-            break
-    return tuple(gens)
-
-
-def handle_is_finite(g):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.is_finite()
-    if kind == "finite":
-        return True
-    return all(m is not None for m in g.orders)
-
-
-def handle_elements(g, cap=4096):
-    """All elements of a finite handle (raises on infinite handles)."""
-    kind = _handle_kind(g)
-    if not handle_is_finite(g):
-        raise ValueError("cannot enumerate an infinite group handle")
-    if kind == "finite":
-        if g.order > cap:
-            raise CapExceeded(f"order {g.order} exceeds cap {cap}")
-        return list(range(g.order))
-    if kind == "abelian":
-        total = 1
-        for m in g.invariant_factors:
-            total *= m
-        if total > cap:
-            raise CapExceeded(f"order {total} exceeds cap {cap}")
-        return [tuple(v) for v in itertools.product(*[range(m) for m in g.invariant_factors])]
-    total = 1
-    for m in g.orders:
-        total *= m
-    if total > cap:
-        raise CapExceeded(f"order {total} exceeds cap {cap}")
-    return [tuple(v) for v in itertools.product(*[range(m) for m in g.orders])]
-
-
-def _hirsch_length(g):
-    kind = _handle_kind(g)
-    if kind == "abelian":
-        return g.free_rank
-    if kind == "finite":
-        return 0
-    return sum(1 for m in g.orders if m is None)
+        return [None] * g.free_rank + list(g.invariant_factors)
+    return list(g.orders)
 
 
 def _pc_of_abelian(module):
     """Polycyclic presentation of an AbelianModule with identical
     coordinates (free slots first, torsion orders after)."""
-    orders = [None] * module.free_rank + list(module.invariant_factors)
     names = [f"a{i}" for i in range(module.rank)]
-    return PcPresentation(names, orders)
-
-
-def serialize_element(g, x):
-    return int(x) if _handle_kind(g) == "finite" else [int(c) for c in x]
+    return PcPresentation(names, _slot_orders(module))
 
 
 # ---------------------------------------------------------------------------
-# homomorphisms between handles
+# homomorphisms between groups
 
 
 class GroupMap:
-    """Homomorphism between group handles, given by the images of the
-    domain's canonical generators.
+    """Homomorphism between two groups with the shared interface (see the
+    ``nilgroup`` module docstring), given by the images of the domain's
+    ``generators()``.
 
     For a FiniteGroupTable domain the generator images are expanded to a
     full element map (and the multiplication table is checked
@@ -215,8 +85,8 @@ class GroupMap:
     def __init__(self, domain, codomain, images, check=True):
         self.domain = domain
         self.codomain = codomain
-        self._gens = handle_generators(domain)
-        images = tuple(handle_normalize(codomain, im) for im in images)
+        self._gens = domain.generators()
+        images = tuple(codomain.normal_form(im) for im in images)
         if len(images) != len(self._gens):
             raise ValueError(
                 f"expected {len(self._gens)} generator images, got {len(images)}"
@@ -226,7 +96,7 @@ class GroupMap:
         self._injective = None
         self._surjective = None
         self._piv = None
-        if _handle_kind(domain) == "finite":
+        if isinstance(domain, FiniteGroupTable):
             self._full = self._expand_full_map()
         elif check:
             self._check_relations()
@@ -247,138 +117,137 @@ class GroupMap:
 
     def _expand_full_map(self):
         d, c = self.domain, self.codomain
+        ident = d.identity()
         full = [None] * d.order
-        full[d.identity] = handle_identity(c)
-        frontier = [d.identity]
+        full[ident] = c.identity()
+        frontier = [ident]
         while frontier:
             x = frontier.pop()
             for g, img in zip(self._gens, self.images):
-                y = d.mult(x, g)
+                y = d.multiply(x, g)
                 if full[y] is None:
-                    full[y] = handle_mul(c, full[x], img)
+                    full[y] = c.multiply(full[x], img)
                     frontier.append(y)
         if any(v is None for v in full):
             raise ValueError("generator images do not cover the whole group")
         for x in range(d.order):
             for g, img in zip(self._gens, self.images):
-                if full[d.mult(x, g)] != handle_mul(c, full[x], img):
+                if full[d.multiply(x, g)] != c.multiply(full[x], img):
                     raise ValueError("images do not respect the multiplication table")
         return tuple(full)
 
     def _check_relations(self):
         c = self.codomain
-        if _handle_kind(self.domain) == "abelian":
+        if isinstance(self.domain, AbelianModule):
             for i in range(len(self.images)):
                 for j in range(i + 1, len(self.images)):
                     a, b = self.images[i], self.images[j]
-                    if handle_mul(c, a, b) != handle_mul(c, b, a):
+                    if c.multiply(a, b) != c.multiply(b, a):
                         raise ValueError("images of commuting generators do not commute")
             for k, m in enumerate(self.domain.invariant_factors):
                 img = self.images[self.domain.free_rank + k]
-                if handle_power(c, img, m) != handle_identity(c):
+                if c.power(img, m) != c.identity():
                     raise ValueError("a torsion relation is not respected")
             return
         p = self.domain
         for i in range(p.n):
             for j in range(i + 1, p.n):
-                lhs = handle_conjugate(c, self.images[j], self.images[i])
+                lhs = c.conjugate(self.images[j], self.images[i])
                 if lhs != self.apply(p.conjugate(p.gen(j), p.gen(i))):
                     raise ValueError("a conjugation relation is not respected")
         for i, m in enumerate(p.orders):
             if m is not None:
-                if handle_power(c, self.images[i], m) != self.apply(
-                    p.power(p.gen(i), m)
-                ):
+                if c.power(self.images[i], m) != self.apply(p.power(p.gen(i), m)):
                     raise ValueError("a power relation is not respected")
 
     def apply(self, x):
-        x = handle_normalize(self.domain, x)
+        x = self.domain.normal_form(x)
         if self._full is not None:
             return self._full[x]
-        out = handle_identity(self.codomain)
+        c = self.codomain
+        out = c.identity()
         for e, img in zip(x, self.images):
             if e:
-                out = handle_mul(self.codomain, out, handle_power(self.codomain, img, e))
+                out = c.multiply(out, c.power(img, e))
         return out
 
     def preimage(self, y):
         """Some domain element mapping to y, or None."""
-        y = handle_normalize(self.codomain, y)
-        dkind = _handle_kind(self.domain)
-        ckind = _handle_kind(self.codomain)
-        if dkind == "finite":
+        d, c = self.domain, self.codomain
+        y = c.normal_form(y)
+        if isinstance(d, FiniteGroupTable):
             for i, v in enumerate(self._full):
                 if v == y:
                     return i
             return None
-        if ckind == "finite":
+        if isinstance(c, FiniteGroupTable):
             # walk the finite codomain from the identity, tracking one
             # domain-side word per reached element
             steps = []
             for g, img in zip(self._gens, self.images):
                 steps.append((img, g))
-                steps.append((handle_inv(self.codomain, img), handle_inv(self.domain, g)))
-            seen = {handle_identity(self.codomain): handle_identity(self.domain)}
-            frontier = [handle_identity(self.codomain)]
+                steps.append((c.invert(img), d.invert(g)))
+            seen = {c.identity(): d.identity()}
+            frontier = [c.identity()]
             while frontier:
-                c = frontier.pop(0)
+                x = frontier.pop(0)
                 for ic, idm in steps:
-                    nc = handle_mul(self.codomain, c, ic)
+                    nc = c.multiply(x, ic)
                     if nc not in seen:
-                        seen[nc] = handle_mul(self.domain, seen[c], idm)
+                        seen[nc] = d.multiply(seen[x], idm)
                         frontier.append(nc)
             return seen.get(y)
-        if ckind == "abelian":
-            rows = [list(im) for im in self.images]
-            for k, m in enumerate(self.codomain.invariant_factors):
-                row = [0] * self.codomain.rank
-                row[self.codomain.free_rank + k] = m
-                rows.append(row)
-            mat = IntMatrix(rows, cols=self.codomain.rank)
+        if isinstance(c, AbelianModule):
+            mat = IntMatrix(self._abelian_image_rows(), cols=c.rank)
             sol, _ = solve_integer(mat.transpose(), tuple(y))
             if sol is None:
                 return None
-            x = handle_normalize(self.domain, tuple(sol[: len(self._gens)]))
+            x = d.normal_form(tuple(sol[: len(self._gens)]))
             return x if self.apply(x) == y else None
         if self._piv is None:
-            payload = self.domain if dkind == "pc" else _pc_of_abelian(self.domain)
+            payload = d if isinstance(d, PcPresentation) else _pc_of_abelian(d)
             items = [(self.images[k], payload.gen(k)) for k in range(len(self.images))]
-            self._piv = (payload, _Igs(self.codomain, payload_parent=payload).build(items).piv)
+            self._piv = (payload, _Igs(c, payload_parent=payload).build(items).piv)
         payload, piv = self._piv
         x = y
         pay = payload.identity()
         while any(x):
-            d = _lead(x)
-            if d not in piv:
+            lead = _lead(x)
+            if lead not in piv:
                 return None
-            h = piv[d]
-            a = h[0][d]
-            b = x[d]
+            h = piv[lead]
+            a = h[0][lead]
+            b = x[lead]
             if b % a:
                 return None
             q = b // a
             pay = payload.multiply(pay, payload.power(h[1], q))
-            x = self.codomain.multiply(self.codomain.power(h[0], -q), x)
-        out = handle_normalize(self.domain, tuple(pay))
+            x = c.multiply(c.power(h[0], -q), x)
+        out = d.normal_form(tuple(pay))
         return out if self.apply(out) == y else None
+
+    def _abelian_image_rows(self):
+        """The generator images, then the torsion relations of the abelian
+        codomain."""
+        return [list(im) for im in self.images] + [
+            list(r) for r in self.codomain.relation_rows()
+        ]
 
     def _torsion_kernel_trivial(self):
         """No nontrivial torsion element of the domain maps to the identity."""
-        dkind = _handle_kind(self.domain)
-        ident_d = handle_identity(self.domain)
-        ident_c = handle_identity(self.codomain)
-        if dkind == "abelian":
-            fr = self.domain.free_rank
+        d = self.domain
+        ident_d = d.identity()
+        ident_c = self.codomain.identity()
+        if isinstance(d, AbelianModule):
+            fr = d.free_rank
             torsion = [
                 (0,) * fr + tuple(v)
-                for v in itertools.product(
-                    *[range(m) for m in self.domain.invariant_factors]
-                )
+                for v in itertools.product(*[range(m) for m in d.invariant_factors])
             ]
         else:
-            torsion = torsion_data(self.domain).tau_elements
+            torsion = torsion_data(d).tau_elements
         for t in torsion:
-            t = handle_normalize(self.domain, t)
+            t = d.normal_form(t)
             if t != ident_d and self.apply(t) == ident_c:
                 return False
         return True
@@ -389,71 +258,56 @@ class GroupMap:
         return self._injective
 
     def _compute_injective(self):
-        dkind = _handle_kind(self.domain)
-        ckind = _handle_kind(self.codomain)
-        if dkind == "finite":
-            return len(set(self._full)) == self.domain.order
-        if handle_is_finite(self.domain):
-            elems = handle_elements(self.domain)
+        d, c = self.domain, self.codomain
+        if isinstance(d, FiniteGroupTable):
+            return len(set(self._full)) == d.order
+        orders = _slot_orders(d)
+        if None not in orders:
+            total = math.prod(orders)
+            if total > 4096:
+                raise CapExceeded(f"order {total} exceeds cap 4096")
+            elems = list(itertools.product(*[range(m) for m in orders]))
             return len({self.apply(x) for x in elems}) == len(elems)
-        if ckind == "finite":
+        if isinstance(c, FiniteGroupTable):
             return False
-        if ckind == "abelian":
-            if dkind == "pc" and not self.domain.is_abelian():
+        if isinstance(c, AbelianModule):
+            if isinstance(d, PcPresentation) and not d.is_abelian():
                 return False
-            rows = [list(im) for im in self.images]
-            for k, m in enumerate(self.codomain.invariant_factors):
-                row = [0] * self.codomain.rank
-                row[self.codomain.free_rank + k] = m
-                rows.append(row)
-            mat = IntMatrix(rows, cols=self.codomain.rank)
-            _, kernel = solve_integer(
-                mat.transpose(), (0,) * self.codomain.rank
-            )
+            mat = IntMatrix(self._abelian_image_rows(), cols=c.rank)
+            _, kernel = solve_integer(mat.transpose(), (0,) * c.rank)
             for vec in kernel:
-                x = tuple(vec[: len(self._gens)])
-                if any(handle_normalize(self.domain, x)):
+                if any(d.normal_form(tuple(vec[: len(self._gens)]))):
                     return False
             return True
-        sub = Subgroup(self.codomain, list(self.images))
+        sub = Subgroup(c, list(self.images))
         image_hirsch = sum(1 for m in sub.relative_orders() if m is None)
-        if image_hirsch != _hirsch_length(self.domain):
+        if image_hirsch != orders.count(None):
             return False
         return self._torsion_kernel_trivial()
 
     def is_surjective(self):
         if self._surjective is None:
-            ckind = _handle_kind(self.codomain)
-            if ckind == "finite":
-                self._surjective = (
-                    len(self.codomain.closure(list(self.images))) == self.codomain.order
-                )
-            elif ckind == "abelian":
-                rows = [list(im) for im in self.images]
-                for k, m in enumerate(self.codomain.invariant_factors):
-                    row = [0] * self.codomain.rank
-                    row[self.codomain.free_rank + k] = m
-                    rows.append(row)
-                q = AdaptedQuotient(self.codomain.rank, rows)
+            c = self.codomain
+            if isinstance(c, FiniteGroupTable):
+                self._surjective = len(c.closure(list(self.images))) == c.order
+            elif isinstance(c, AbelianModule):
+                q = AdaptedQuotient(c.rank, self._abelian_image_rows())
                 self._surjective = (
                     q.module.free_rank == 0 and not q.module.invariant_factors
                 )
             else:
-                self._surjective = Subgroup(
-                    self.codomain, list(self.images)
-                ).is_whole_group()
+                self._surjective = Subgroup(c, list(self.images)).is_whole_group()
         return self._surjective
 
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
 
     def serialize(self):
-        return [serialize_element(self.codomain, im) for im in self.images]
+        return [serialize_element(im) for im in self.images]
 
 
 def identity_map(g):
-    gens = handle_generators(g)
-    return GroupMap(g, g, gens, check=False)
+    return GroupMap(g, g, g.generators(), check=False)
 
 
 def compose_maps(outer, inner):
@@ -730,12 +584,10 @@ def verify_gog_isomorphism(x1, x2, phi):
         gamma = phi.attaching_elements.get(e)
         if gamma is None:
             raise ValueError(f"missing attaching element at {e!r}")
-        gamma = handle_normalize(h, gamma)
-        for s in handle_generators(x1.edge_groups[e]):
+        gamma = h.normal_form(gamma)
+        for s in x1.edge_groups[e].generators():
             lhs = phi.vertex_maps[v].apply(x1.attaching[e].apply(s))
-            rhs = handle_conjugate(
-                h, x2.attaching[e].apply(phi.edge_maps[e].apply(s)), gamma
-            )
+            rhs = h.conjugate(x2.attaching[e].apply(phi.edge_maps[e].apply(s)), gamma)
             if lhs != rhs:
                 return DiagramReport(
                     False,
@@ -765,11 +617,11 @@ def _chase_edge(x1, x2, psi, adj, e):
     v = x2.graph.terminal[e]
     h = x2.vertex_groups[v]
     alpha = adj.automorphisms[v]
-    g = handle_normalize(h, adj.elements[e])
+    g = h.normal_form(adj.elements[e])
     images = []
-    for s in handle_generators(x1.edge_groups[e]):
+    for s in x1.edge_groups[e].generators():
         y = alpha.apply(psi[v].apply(x1.attaching[e].apply(s)))
-        y = handle_conjugate(h, y, g)
+        y = h.conjugate(y, g)
         u = x2.attaching[e].preimage(y)
         if u is None:
             return None, DiagramReport(
@@ -848,7 +700,7 @@ def assemble_isomorphism(x1, x2, psi, adj):
         edge_maps[graph.involution[e]] = m
     for e in graph.edges:
         h = x2.vertex_groups[graph.terminal[e]]
-        attaching_elements[e] = handle_inv(h, handle_normalize(h, adj.elements[e]))
+        attaching_elements[e] = h.invert(h.normal_form(adj.elements[e]))
     return GoGIsomorphism(vertex_maps, edge_maps, attaching_elements)
 
 
@@ -864,10 +716,9 @@ def _base_isomorphism(h1, h2, box):
     """
     if h1 is h2:
         return identity_map(h1), "ok", ""
-    k1, k2 = _handle_kind(h1), _handle_kind(h2)
-    if k1 != k2:
+    if type(h1) is not type(h2):
         return None, "unknown", "vertex group handles use different representations"
-    if k1 == "abelian":
+    if isinstance(h1, AbelianModule):
         if (h1.free_rank, h1.invariant_factors) != (h2.free_rank, h2.invariant_factors):
             return (
                 None,
@@ -875,20 +726,17 @@ def _base_isomorphism(h1, h2, box):
                 f"abelian invariants differ: Z^{h1.free_rank} x {list(h1.invariant_factors)}"
                 f" vs Z^{h2.free_rank} x {list(h2.invariant_factors)}",
             )
-        return GroupMap(h1, h2, handle_generators(h1), check=False), "ok", ""
-    if k1 == "finite":
+        return GroupMap(h1, h2, h1.generators(), check=False), "ok", ""
+    if isinstance(h1, FiniteGroupTable):
         if h1.order != h2.order:
             return None, "refuted", f"group orders differ: {h1.order} vs {h2.order}"
         m = _finite_isomorphism(h1, h2)
         if m is None:
             return None, "refuted", "finite groups are not isomorphic"
         return m, "ok", ""
-    if _hirsch_length(h1) != _hirsch_length(h2):
-        return (
-            None,
-            "refuted",
-            f"Hirsch lengths differ: {_hirsch_length(h1)} vs {_hirsch_length(h2)}",
-        )
+    hirsch1, hirsch2 = h1.orders.count(None), h2.orders.count(None)
+    if hirsch1 != hirsch2:
+        return None, "refuted", f"Hirsch lengths differ: {hirsch1} vs {hirsch2}"
     a1 = h1.abelianization().module
     a2 = h2.abelianization().module
     if (a1.free_rank, a1.invariant_factors) != (a2.free_rank, a2.invariant_factors):
@@ -908,7 +756,7 @@ def _finite_isomorphism(t1, t2):
     orders2 = sorted(t2.element_order(i) for i in range(t2.order))
     if orders1 != orders2:
         return None
-    gens = handle_generators(t1)
+    gens = t1.generators()
     if not gens:
         return GroupMap(t1, t2, [])
     cands = [
@@ -957,13 +805,12 @@ def _conjugate_into_image(vgroup, att, ys, box):
     """Find g with y^g in the image of the attaching map for every y,
     returning (g, preimages), (None, 'refuted') after a complete scan, or
     (None, 'unknown') when a box-limited scan is exhausted."""
-    kind = _handle_kind(vgroup)
-    if kind == "abelian":
+    if isinstance(vgroup, AbelianModule):
         pres = [att.preimage(y) for y in ys]
         if any(t is None for t in pres):
             return None, "refuted"
-        return handle_identity(vgroup), pres
-    if kind == "finite":
+        return vgroup.identity(), pres
+    if isinstance(vgroup, FiniteGroupTable):
         for g in range(vgroup.order):
             pres = [att.preimage(vgroup.conjugate(y, g)) for y in ys]
             if all(t is not None for t in pres):
@@ -977,29 +824,12 @@ def _conjugate_into_image(vgroup, att, ys, box):
     return None, "unknown"
 
 
-def _black_whitehead(h, s_tuples, t_tuples, budget):
-    kind = _handle_kind(h)
-    if kind == "abelian":
-        return whitehead_abelian(h, s_tuples, t_tuples)
-    if kind == "finite":
-        return whitehead_finite(h, s_tuples, t_tuples)
-    return whitehead_nilpotent(h, s_tuples, t_tuples, budget=budget)
-
-
 def _witness_automorphism(h, witness):
-    kind = _handle_kind(h)
-    if kind == "abelian":
-        return GroupMap(h, h, [tuple(r) for r in witness["matrix"]])
-    if kind == "finite":
-        full = witness["map"]
-        return GroupMap(h, h, [full[g] for g in handle_generators(h)])
-    return GroupMap(h, h, [tuple(r) for r in witness["generator_images"]])
-
-
-def _witness_conjugators(h, witness):
-    if _handle_kind(h) == "finite":
-        return list(witness["conjugators"])
-    return [tuple(r) for r in witness["conjugators"]]
+    """The automorphism of a black vertex group in a Whitehead witness.
+    Each solver records the images of ``h.generators()``: a module
+    witness as the rows of its matrix, the others as generator images."""
+    images = witness["matrix"] if "matrix" in witness else witness["generator_images"]
+    return GroupMap(h, h, images)
 
 
 def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
@@ -1010,7 +840,7 @@ def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
     for w in whites:
         comp = compose_maps(alphas[w], psi[w])
         for f in x2.graph.link(w):
-            gens_primed = handle_generators(x1s.edge_groups[f])
+            gens_primed = x1s.edge_groups[f].generators()
             ys = [comp.apply(x1s.attaching[f].apply(s)) for s in gens_primed]
             g, out = _conjugate_into_image(x2.vertex_groups[w], x2.attaching[f], ys, budget)
             if g is None:
@@ -1028,13 +858,13 @@ def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
         s_tuples = []
         t_tuples = []
         for e in link:
-            gens_primed = handle_generators(x1s.edge_groups[e])
+            gens_primed = x1s.edge_groups[e].generators()
             s_tuples.append(
                 tuple(psi[b].apply(x1s.attaching[e].apply(s)) for s in gens_primed)
             )
             ebar = x2.graph.involution[e]
             t_tuples.append(tuple(x2.attaching[e].apply(t) for t in targets[ebar]))
-        verdict = _black_whitehead(x2.vertex_groups[b], s_tuples, t_tuples, budget)
+        verdict = solve_whitehead(x2.vertex_groups[b], s_tuples, t_tuples, budget=budget)
         if verdict.is_not_equivalent():
             return "refuted", {
                 "stage": "black vertex",
@@ -1055,9 +885,8 @@ def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
     for b in blacks:
         h = x2.vertex_groups[b]
         autos[b] = _witness_automorphism(h, black_witness[b])
-        conj = _witness_conjugators(h, black_witness[b])
-        for e, c in zip(x2.graph.link(b), conj):
-            elems[e] = handle_inv(h, handle_normalize(h, c))
+        for e, c in zip(x2.graph.link(b), black_witness[b]["conjugators"]):
+            elems[e] = h.invert(h.normal_form(c))
     adj = ExtensionAdjustment(autos, elems)
     rep = verify_extension_adjustment(x1s, x2, psi, adj)
     if not rep:
@@ -1070,10 +899,7 @@ def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
         "vertex_maps": {str(v): phi.vertex_maps[v].serialize() for v in x2.graph.vertices},
         "edge_maps": {str(e): phi.edge_maps[e].serialize() for e in x2.graph.edges},
         "attaching_elements": {
-            str(e): serialize_element(
-                x2.vertex_groups[x2.graph.terminal[e]], phi.attaching_elements[e]
-            )
-            for e in x2.graph.edges
+            str(e): serialize_element(phi.attaching_elements[e]) for e in x2.graph.edges
         },
     }
     return "equivalent", witness
@@ -1289,18 +1115,16 @@ def spanning_tree(graph):
 
 
 def _vertex_generator_block(v, h):
-    kind = _handle_kind(h)
-    if kind == "abelian":
+    if isinstance(h, AbelianModule):
         return [f"{v}_a{i}" for i in range(h.rank)]
-    if kind == "pc":
+    if isinstance(h, PcPresentation):
         return [f"{v}_{h.names[i]}" for i in range(h.n)]
-    return [f"{v}_e{i}" for i in range(h.order) if i != h.identity]
+    return [f"{v}_e{i}" for i in _table_dense_index(h)]
 
 
 def _vertex_relators(h, offset):
-    kind = _handle_kind(h)
     out = []
-    if kind == "abelian":
+    if isinstance(h, AbelianModule):
         for i in range(h.rank):
             for j in range(i + 1, h.rank):
                 out.append(
@@ -1309,7 +1133,7 @@ def _vertex_relators(h, offset):
         for k, m in enumerate(h.invariant_factors):
             out.append(((offset + h.free_rank + k, m),))
         return out
-    if kind == "pc":
+    if isinstance(h, PcPresentation):
         for i in range(h.n):
             for j in range(i + 1, h.n):
                 img = h.conjugate(h.gen(j), h.gen(i))
@@ -1321,30 +1145,22 @@ def _vertex_relators(h, offset):
                 out.append(((offset + i, m),) + _winv(_element_word(h, tail, offset)))
         return out
     index = _table_dense_index(h)
-    for i in range(h.order):
-        for j in range(h.order):
-            if i == h.identity or j == h.identity:
-                continue
+    for i in index:
+        for j in index:
             word = ((offset + index[i], 1), (offset + index[j], 1))
-            out.append(word + _winv(_element_word(h, h.mult(i, j), offset)))
+            out.append(word + _winv(_element_word(h, h.multiply(i, j), offset)))
     return out
 
 
 def _table_dense_index(h):
-    index = {}
-    k = 0
-    for i in range(h.order):
-        if i == h.identity:
-            continue
-        index[i] = k
-        k += 1
-    return index
+    """Position of each non-identity element of a table among them."""
+    ident = h.identity()
+    return {i: k for k, i in enumerate(i for i in range(h.order) if i != ident)}
 
 
 def _element_word(h, x, offset):
-    kind = _handle_kind(h)
-    if kind == "finite":
-        if x == h.identity:
+    if isinstance(h, FiniteGroupTable):
+        if x == h.identity():
             return ()
         return ((offset + _table_dense_index(h)[x], 1),)
     return tuple((offset + i, e) for i, e in enumerate(x) if e)
@@ -1394,7 +1210,7 @@ def fundamental_presentation(x, tree):
     for e in graph.edge_pairs():
         eb = graph.involution[e]
         vt, vo = graph.terminal[e], graph.terminal[eb]
-        for s in handle_generators(x.edge_groups[e]):
+        for s in x.edge_groups[e].generators():
             wt = _element_word(x.vertex_groups[vt], x.attaching[e].apply(s), offsets[vt])
             wo = _element_word(x.vertex_groups[vo], x.attaching[eb].apply(s), offsets[vo])
             if e in stable:

@@ -16,6 +16,27 @@ presentation.  Otherwise the layered loops are bounded by h + sum Omega(m_i)
 (h infinite relative orders, Omega counting prime factors with multiplicity),
 which bounds the class of any nilpotent group with this pc sequence, and the
 nilpotency class is read off the lower central series.
+
+Group interface.  The three kinds of group the package computes in --
+``PcPresentation`` (exponent vectors), ``FiniteGroupTable`` (element indices)
+and ``zmod.AbelianModule`` (coordinate rows) -- share seven methods, so code
+that only multiplies, conjugates or walks generators never asks which kind it
+holds:
+
+    identity()        the neutral element
+    normal_form(x)    the canonical form of x; raises ValueError on a
+                      malformed element (wrong length, index out of range)
+    multiply(a, b)    a b
+    invert(a)         a^-1
+    power(a, k)       a^k for any integer k
+    conjugate(a, c)   a^c = c^-1 a c (a itself, normalized, when abelian)
+    generators()      canonical generators: the pc generators, the unit
+                      vectors of a module, or for a table the greedy set
+                      that adds the least element outside the subgroup
+                      generated so far
+
+Algorithms that differ by kind (injectivity, preimages, isomorphism tests)
+still test the class with ``isinstance``.
 """
 
 from __future__ import annotations
@@ -172,6 +193,9 @@ class PcPresentation:
 
     def gen(self, i):
         return tuple(1 if k == i else 0 for k in range(self.n))
+
+    def generators(self):
+        return tuple(self.gen(i) for i in range(self.n))
 
     def normal_form(self, vec):
         """Normal form of prod_i g_i^{v_i} for an arbitrary integer vector."""
@@ -839,28 +863,28 @@ class FiniteGroupTable:
             ident = None
             for i in range(self.order):
                 if all(
-                    self.mult(i, j) == j and self.mult(j, i) == j
+                    self.multiply(i, j) == j and self.multiply(j, i) == j
                     for j in range(self.order)
                 ):
                     ident = i
                     break
             if ident is None:
                 raise ValueError("table has no identity")
-            self.identity = ident
         else:
-            self.identity = self._index[identity_elem]
+            ident = self._index[identity_elem]
+        self._identity = ident
         self._inv = {}
         if inv_fn is not None:
             for i, e in enumerate(self.elements):
                 j = self._index[inv_fn(e)]
-                if self.mult(i, j) != self.identity or self.mult(j, i) != self.identity:
+                if self.multiply(i, j) != ident or self.multiply(j, i) != ident:
                     raise ValueError("inverse function is wrong")
                 self._inv[i] = j
         else:
             for i in range(self.order):
                 for j in range(self.order):
-                    if self.mult(i, j) == self.identity:
-                        if self.mult(j, i) != self.identity:
+                    if self.multiply(i, j) == ident:
+                        if self.multiply(j, i) != ident:
                             raise ValueError("one-sided inverse: not a group")
                         self._inv[i] = j
                         break
@@ -884,7 +908,7 @@ class FiniteGroupTable:
                 for _ in range(1000)
             )
         for a, b, c in triples:
-            if self.mult(self.mult(a, b), c) != self.mult(a, self.mult(b, c)):
+            if self.multiply(self.multiply(a, b), c) != self.multiply(a, self.multiply(b, c)):
                 raise ValueError("associativity fails: not a group")
 
     @classmethod
@@ -946,7 +970,17 @@ class FiniteGroupTable:
     def index_of(self, element):
         return self._index[element]
 
-    def mult(self, i, j):
+    def identity(self):
+        return self._identity
+
+    def normal_form(self, x):
+        """x itself, after checking that it indexes an element."""
+        x = int(x)
+        if not 0 <= x < self.order:
+            raise ValueError(f"element index {x} is out of range")
+        return x
+
+    def multiply(self, i, j):
         key = (i, j)
         r = self._memo.get(key)
         if r is None:
@@ -954,20 +988,21 @@ class FiniteGroupTable:
             self._memo[key] = r
         return r
 
-    def inv(self, i):
+    def invert(self, i):
         return self._inv[i]
 
     def conjugate(self, i, g):
-        return self.mult(self.inv(g), self.mult(i, g))
+        return self.multiply(self.invert(g), self.multiply(i, g))
 
     def commutator(self, i, j):
-        return self.mult(self.inv(self.mult(j, i)), self.mult(i, j))
+        return self.multiply(self.invert(self.multiply(j, i)), self.multiply(i, j))
 
     def element_order(self, i):
+        ident = self._identity
         k = 1
         x = i
-        while x != self.identity:
-            x = self.mult(x, i)
+        while x != ident:
+            x = self.multiply(x, i)
             k += 1
             if k > self.order:
                 raise ValueError("order computation overran the group")
@@ -975,20 +1010,33 @@ class FiniteGroupTable:
 
     def power(self, i, k):
         if k < 0:
-            return self.power(self.inv(i), -k)
-        x = self.identity
+            return self.power(self.invert(i), -k)
+        x = self._identity
         for _ in range(k):
-            x = self.mult(x, i)
+            x = self.multiply(x, i)
         return x
 
+    def generators(self):
+        """Greedy generating set: repeatedly the least element outside the
+        subgroup generated so far."""
+        gens = []
+        reach = self.closure(gens)
+        for i in range(self.order):
+            if len(reach) == self.order:
+                break
+            if i not in reach:
+                gens.append(i)
+                reach = self.closure(gens)
+        return tuple(gens)
+
     def closure(self, gens):
-        seen = {self.identity}
-        frontier = [self.identity]
+        seen = {self._identity}
+        frontier = [self._identity]
         gens = list(gens)
         while frontier:
             x = frontier.pop()
             for g in gens:
-                for y in (self.mult(x, g), self.mult(x, self.inv(g))):
+                for y in (self.multiply(x, g), self.multiply(x, self.invert(g))):
                     if y not in seen:
                         seen.add(y)
                         frontier.append(y)
@@ -999,6 +1047,12 @@ class FiniteGroupTable:
         if self.qmap is None:
             raise ValueError("not a quotient table")
         return self._index[self.qmap.kernel.reduce(self.qmap.source.normal_form(x))]
+
+
+def serialize_element(x):
+    """JSON form of an element: the index of a table element, the list of
+    coordinates or exponents otherwise."""
+    return int(x) if isinstance(x, int) else [int(c) for c in x]
 
 
 def quotient_table(p: PcPresentation, kernel: Subgroup, cap=10**6, verify=True,
@@ -1516,89 +1570,3 @@ def _try_pattern(p, pattern, d, found):
                 found.setdefault(s.gens, s)
         except IndexInfinite:
             pass
-
-
-def low_index_subgroups_coset_oracle(p: PcPresentation, d: int, cap=10**6):
-    """Independent enumeration of index <= d subgroups as point stabilisers
-    of transitive permutation actions (test oracle)."""
-    from itertools import permutations, product as iproduct
-    from math import factorial
-
-    if factorial(d) ** p.n > cap:
-        raise CapExceeded("coset-action oracle is too large")
-    found = {}
-    for k in range(1, d + 1):
-        perms = list(permutations(range(k)))
-
-        def pmul(a, b):  # composition: apply b, then a
-            return tuple(a[b[i]] for i in range(k))
-
-        def pinv(a):
-            out = [0] * k
-            for i, v in enumerate(a):
-                out[v] = i
-            return tuple(out)
-
-        def pword(images, vec):
-            out = tuple(range(k))
-            for i, e in enumerate(vec):
-                if e:
-                    base = images[i] if e > 0 else pinv(images[i])
-                    for _ in range(abs(e)):
-                        out = pmul(out, base)
-            return out
-
-        for images in iproduct(perms, repeat=p.n):
-            ok = True
-            for (i, j), v in p.conj.items():
-                if pmul(pinv(images[i]), pmul(images[j], images[i])) != pword(images, v):
-                    ok = False
-                    break
-            if ok:
-                for i, m in enumerate(p.orders):
-                    if m is not None:
-                        acc = tuple(range(k))
-                        for _ in range(m):
-                            acc = pmul(acc, images[i])
-                        if acc != pword(images, p._power_tail(i)):
-                            ok = False
-                            break
-            if not ok:
-                continue
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                pt = frontier.pop()
-                for gperm in images:
-                    for im in (gperm[pt], pinv(gperm)[pt]):
-                        if im not in seen:
-                            seen.add(im)
-                            frontier.append(im)
-            if len(seen) != k:
-                continue
-            transversal = {0: p.identity()}
-            frontier = [0]
-            while frontier:
-                pt = frontier.pop()
-                for gi in range(p.n):
-                    for e in (1, -1):
-                        perm = images[gi] if e == 1 else pinv(images[gi])
-                        im = perm[pt]
-                        if im not in transversal:
-                            transversal[im] = p.multiply(
-                                p.power(p.gen(gi), e), transversal[pt]
-                            )
-                            frontier.append(im)
-            gens = []
-            for pt, t in transversal.items():
-                for gi in range(p.n):
-                    im = images[gi][pt]
-                    gens.append(
-                        p.multiply(
-                            p.invert(transversal[im]),
-                            p.multiply(p.gen(gi), t),
-                        )
-                    )
-            s = Subgroup(p, gens)
-            found.setdefault(s.gens, s)
-    return [found[key] for key in sorted(found)]

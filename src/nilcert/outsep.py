@@ -101,7 +101,7 @@ class HomStarSpace:
         return self._c_from(self._cq.lift(coords))
 
     def zero(self) -> "HomStar":
-        return HomStar(self, self.hom.module.zero())
+        return HomStar(self, self.hom.module.identity())
 
     def from_center_images(self, images) -> "HomStar":
         """The map sending generator k to the given central element.
@@ -122,13 +122,13 @@ class HomStarSpace:
             for k, vk in enumerate(v):
                 if vk:
                     row = [a + vk * b for a, b in zip(row, crows[k])]
-            mat.append(cmod.reduce(tuple(row)))
+            mat.append(cmod.normal_form(tuple(row)))
         coords = self.hom.coords(tuple(mat))
         # factorization check: reading the generator images back through
         # the covering module must reproduce them exactly
         for k in range(self.p.n):
             got = self.hom.apply(coords, self.cover.coords(self.p.gen(k)))
-            if got != cmod.reduce(crows[k]):
+            if got != cmod.normal_form(crows[k]):
                 raise ValueError("images do not factor through the covering module")
         return HomStar(self, coords)
 
@@ -162,7 +162,7 @@ class HomStar:
     def __init__(self, space: HomStarSpace, coords):
         self.space = space
         self.parent = space.p
-        self.coords = space.hom.module.reduce(coords)
+        self.coords = space.hom.module.normal_form(coords)
 
     def __repr__(self):
         return f"HomStar{self.coords}"
@@ -183,13 +183,13 @@ class HomStar:
     def add(self, other: "HomStar") -> "HomStar":
         if self.space is not other.space:
             raise ValueError("operands live in different spaces")
-        return HomStar(self.space, self.space.hom.module.add(self.coords, other.coords))
+        return HomStar(self.space, self.space.hom.module.multiply(self.coords, other.coords))
 
     def neg(self) -> "HomStar":
-        return HomStar(self.space, self.space.hom.module.neg(self.coords))
+        return HomStar(self.space, self.space.hom.module.invert(self.coords))
 
     def scale(self, k: int) -> "HomStar":
-        return HomStar(self.space, self.space.hom.module.scale(k, self.coords))
+        return HomStar(self.space, self.space.hom.module.power(self.coords, k))
 
     def matrix(self):
         """Rows are images of the covering module generators, written in
@@ -339,7 +339,7 @@ def _elusive_with_audit(p: PcPresentation):
             audit["collapsed_to_inner"] += 1
             continue
         d = 1
-        while not s_sub.contains(mod.scale(d, rep)):
+        while not s_sub.contains(mod.power(rep, d)):
             d += 1
             if d > len(reps):
                 raise RuntimeError("coset order exceeds the coset count")
@@ -442,25 +442,22 @@ def out_finite(table: FiniteGroupTable, cap=512) -> OutFiniteResult:
     n = table.order
     if n > cap:
         raise CapExceeded(f"group order {n} exceeds the cap {cap}")
-    gens = []
-    known = table.closure([])
-    while len(known) < n:
-        gens.append(min(i for i in range(n) if i not in known))
-        known = table.closure(gens)
+    gens = list(table.generators())
     m = len(gens)
     orders = [table.element_order(i) for i in range(n)]
     # per level: elements of the subgroup generated so far, in an order
     # where each element after the identity factors as an earlier
     # element times a generator
     levels = []
+    ident = table.identity()
     for k in range(1, m + 1):
-        fact = {table.identity: None}
-        listed = [table.identity]
-        frontier = [table.identity]
+        fact = {ident: None}
+        listed = [ident]
+        frontier = [ident]
         while frontier:
             x = frontier.pop(0)
             for gi in range(k):
-                y = table.mult(x, gens[gi])
+                y = table.multiply(x, gens[gi])
                 if y not in fact:
                     fact[y] = (x, gi)
                     listed.append(y)
@@ -483,14 +480,14 @@ def out_finite(table: FiniteGroupTable, cap=512) -> OutFiniteResult:
             phi = {}
             for y in listed:
                 if fact[y] is None:
-                    phi[y] = table.identity
+                    phi[y] = ident
                 else:
                     x, gi = fact[y]
-                    phi[y] = table.mult(phi[x], images[gi])
+                    phi[y] = table.multiply(phi[x], images[gi])
             ok = True
             for y in listed:
                 for gi in range(k + 1):
-                    if phi[table.mult(y, gens[gi])] != table.mult(phi[y], images[gi]):
+                    if phi[table.multiply(y, gens[gi])] != table.multiply(phi[y], images[gi]):
                         ok = False
                         break
                 if not ok:
@@ -498,7 +495,7 @@ def out_finite(table: FiniteGroupTable, cap=512) -> OutFiniteResult:
             if ok:
                 search(k + 1, phi)
 
-    search(0, {table.identity: table.identity})
+    search(0, {ident: ident})
     inner_tuples = set()
     for c in range(n):
         inner_tuples.add(tuple(table.conjugate(g, c) for g in gens))

@@ -12,6 +12,8 @@ brute force over all automorphisms and conjugators.  The general
 finitely generated nilpotent one is an honest budgeted semi-decision
 that interleaves a lexicographic witness sweep with refutation in a
 family of verbal-power quotients; it can return Unknown.
+``solve_whitehead`` and ``verify_whitehead_witness`` pick the solver and
+the witness verifier for the kind of the parent group.
 
 The orbit encoding re-expresses an instance as two points in a space of
 matrix tuples acted on from the right by block elements (k; h_1..h_r),
@@ -36,6 +38,7 @@ from .nilgroup import (
     GroupHom,
     PcPresentation,
     quotient_table,
+    serialize_element,
     simultaneous_conjugator,
     verbal_power_subgroup,
 )
@@ -102,29 +105,18 @@ class Verdict:
 class TupleSystem:
     """Tuples of tuples of elements of one parent group.
 
-    The parent is an AbelianModule (elements are coordinate rows), a
-    PcPresentation (exponent vectors) or a FiniteGroupTable (element
-    indices).  Entries are normalized on construction.
+    The parent is any group with the interface described in the
+    ``nilgroup`` module docstring: an AbelianModule (elements are
+    coordinate rows), a PcPresentation (exponent vectors) or a
+    FiniteGroupTable (element indices).  Entries are normalized on
+    construction by the parent's ``normal_form``.
     """
 
     def __init__(self, parent, tuples):
         self.parent = parent
         self.tuples = tuple(
-            tuple(self._normalize(x) for x in tup) for tup in tuples
+            tuple(parent.normal_form(x) for x in tup) for tup in tuples
         )
-
-    def _normalize(self, x):
-        p = self.parent
-        if isinstance(p, AbelianModule):
-            return p.reduce(x)
-        if isinstance(p, PcPresentation):
-            return p.normal_form(x)
-        if isinstance(p, FiniteGroupTable):
-            i = int(x)
-            if not 0 <= i < p.order:
-                raise ValueError(f"element index {i} outside the group table")
-            return i
-        raise TypeError(f"unsupported parent group {type(p).__name__}")
 
     @property
     def lengths(self):
@@ -141,9 +133,7 @@ class TupleSystem:
         return f"TupleSystem(k={len(self.tuples)}, lengths={self.lengths})"
 
     def as_dict(self):
-        if isinstance(self.parent, FiniteGroupTable):
-            return {"tuples": [list(t) for t in self.tuples]}
-        return {"tuples": [[list(x) for x in t] for t in self.tuples]}
+        return {"tuples": [[serialize_element(x) for x in t] for t in self.tuples]}
 
 
 def tuple_system(parent, data) -> TupleSystem:
@@ -263,7 +253,7 @@ def _torsion_automorphisms(factors, cap):
     cands = []
     for j, f in enumerate(factors):
         cands.append(
-            [e for e in elems if tm.reduce(tuple(f * c for c in e)) == (0,) * t]
+            [e for e in elems if tm.normal_form(tuple(f * c for c in e)) == (0,) * t]
         )
 
     def apply_rows(rows, y):
@@ -271,7 +261,7 @@ def _torsion_automorphisms(factors, cap):
         for yj, row in zip(y, rows):
             for i in range(t):
                 acc[i] += yj * row[i]
-        return tm.reduce(acc)
+        return tm.normal_form(acc)
 
     for rows in itertools.product(*cands):
         if len({apply_rows(rows, y) for y in elems}) == order:
@@ -304,7 +294,7 @@ def _solve_shear(xs_free, targets, factors):
 
 
 def _module_matrix_apply(g: AbelianModule, w: IntMatrix, x):
-    return g.reduce(w.apply_row(tuple(x)))
+    return g.normal_form(w.apply_row(tuple(x)))
 
 
 def _is_module_automorphism(g: AbelianModule, w: IntMatrix) -> bool:
@@ -320,7 +310,7 @@ def _is_module_automorphism(g: AbelianModule, w: IntMatrix) -> bool:
         row = w.entries[fr + j]
         if any(row[:fr]):
             return False
-        if g.reduce(tuple(f * c for c in row)) != (0,) * g.rank:
+        if g.normal_form(tuple(f * c for c in row)) != (0,) * g.rank:
             return False
     if t:
         tm = AbelianModule(0, g.invariant_factors)
@@ -331,7 +321,7 @@ def _is_module_automorphism(g: AbelianModule, w: IntMatrix) -> bool:
             for yj, row in zip(y, d_rows):
                 for i in range(t):
                     acc[i] += yj * row[i]
-            seen.add(tm.reduce(acc))
+            seen.add(tm.normal_form(acc))
         if len(seen) != tm.order():
             return False
     return True
@@ -380,7 +370,7 @@ def whitehead_abelian(g: AbelianModule, s, t, torsion_cap=4096) -> Verdict:
         for d_mat in _torsion_automorphisms(factors, torsion_cap):
             tried += 1
             targets = [
-                tm.reduce(
+                tm.normal_form(
                     tuple(
                         vs[i][l] - sum(ys[i][j] * d_mat[j, l] for j in range(tn))
                         for l in range(tn)
@@ -411,7 +401,7 @@ def whitehead_abelian(g: AbelianModule, s, t, torsion_cap=4096) -> Verdict:
     else:
         w = u_mat
     for a, b in zip(a_rows, b_rows):
-        if _module_matrix_apply(g, w, a) != g.reduce(b):
+        if _module_matrix_apply(g, w, a) != g.normal_form(b):
             raise RuntimeError("abelian witness fails its own re-verification")
     return Verdict(
         EQUIVALENT,
@@ -433,7 +423,7 @@ def verify_abelian_witness(g: AbelianModule, s, t, witness) -> bool:
         return False
     for stup, ttup in zip(s.tuples, t.tuples):
         for a, b in zip(stup, ttup):
-            if _module_matrix_apply(g, w, a) != g.reduce(b):
+            if _module_matrix_apply(g, w, a) != g.normal_form(b):
                 return False
     return True
 
@@ -445,14 +435,15 @@ def verify_abelian_witness(g: AbelianModule, s, t, witness) -> bool:
 def _full_automorphism_map(table: FiniteGroupTable, gens, images):
     """Extend generator images to the whole group by breadth-first
     factorization; returns the image list indexed by element."""
-    phi = {table.identity: table.identity}
-    frontier = [table.identity]
+    e = table.identity()
+    phi = {e: e}
+    frontier = [e]
     while frontier:
         x = frontier.pop(0)
         for gi, gidx in enumerate(gens):
-            y = table.mult(x, gidx)
+            y = table.multiply(x, gidx)
             if y not in phi:
-                phi[y] = table.mult(phi[x], images[gi])
+                phi[y] = table.multiply(phi[x], images[gi])
                 frontier.append(y)
     if len(phi) != table.order:
         raise RuntimeError("generator set does not generate the table")
@@ -515,7 +506,7 @@ def verify_finite_witness(f: FiniteGroupTable, s, t, witness) -> bool:
         gens = range(f.order)
     for x in range(f.order):
         for g in gens:
-            if phi[f.mult(x, g)] != f.mult(phi[x], phi[g]):
+            if phi[f.multiply(x, g)] != f.multiply(phi[x], phi[g]):
                 return False
     for stup, ttup, c in zip(s.tuples, t.tuples, conj):
         for a, b in zip(stup, ttup):
@@ -718,6 +709,31 @@ def verify_quotient_refutation(p: PcPresentation, s, t, certificate,
 
 
 # ---------------------------------------------------------------------------
+# one entry point for every kind of group
+
+
+def solve_whitehead(group, s, t, budget=2, quotient_cap=10**6) -> Verdict:
+    """Run the solver for the kind of the group: the complete abelian
+    or finite one, or the budgeted nilpotent semi-decision (the only one
+    that reads `budget` and `quotient_cap`)."""
+    if isinstance(group, AbelianModule):
+        return whitehead_abelian(group, s, t)
+    if isinstance(group, FiniteGroupTable):
+        return whitehead_finite(group, s, t)
+    return whitehead_nilpotent(group, s, t, budget=budget, quotient_cap=quotient_cap)
+
+
+def verify_whitehead_witness(group, s, t, witness) -> bool:
+    """Re-check an Equivalent witness with the verifier for the kind of
+    the group."""
+    if isinstance(group, AbelianModule):
+        return verify_abelian_witness(group, s, t, witness)
+    if isinstance(group, FiniteGroupTable):
+        return verify_finite_witness(group, s, t, witness)
+    return verify_nilpotent_witness(group, s, t, witness)
+
+
+# ---------------------------------------------------------------------------
 # orbit encoding
 
 
@@ -774,63 +790,3 @@ def orbit_encoding(p: PcPresentation, s, t) -> OrbitInstance:
     ]
     return OrbitInstance(images[0].n, s_point, t_point,
                          [img.mat for img in images])
-
-
-def regular_representation(table: FiniteGroupTable):
-    """Right regular permutation matrices: row i of the g-th matrix has
-    its 1 in column mult(i, g)."""
-    out = []
-    for g in range(table.order):
-        rows = [[0] * table.order for _ in range(table.order)]
-        for i in range(table.order):
-            rows[i][table.mult(i, g)] = 1
-        out.append(QMatrix(rows))
-    return out
-
-
-def orbit_matches_finite(table: FiniteGroupTable, s, t, cap=512):
-    """Brute-force orbit membership for a finite instance under the
-    block action, with k over automorphism permutation matrices and the
-    h blocks over the regular representation.  Returns (found, element).
-
-    Dual to whitehead_finite: the two must agree on every instance.
-    The action is componentwise per tuple, so the conjugator blocks are
-    searched one tuple at a time; a found element is re-verified through
-    the block action law before it is returned.
-    """
-    s = tuple_system(table, s)
-    t = tuple_system(table, t)
-    _check_shapes(s, t)
-    n = table.order
-    rho = regular_representation(table)
-    rho_inv = [rho[table.inv(g)] for g in range(n)]
-    r = len(s.tuples)
-    s_point = [tuple(rho[i] for i in tup) for tup in s.tuples]
-    t_point = [tuple(rho[i] for i in tup) for tup in t.tuples]
-    aut = out_finite(table, cap=cap)
-    for images in aut.automorphisms:
-        phi = _full_automorphism_map(table, aut.generators, images)
-        perm = QMatrix(
-            [[1 if j == phi[i] else 0 for j in range(n)] for i in range(n)]
-        )
-        perm_inv = perm.inverse()
-        conj = []
-        for i in range(r):
-            turned = [perm_inv * m * perm for m in s_point[i]]
-            c = None
-            for cand in range(n):
-                if all(
-                    rho_inv[cand] * m * rho[cand] == tgt
-                    for m, tgt in zip(turned, t_point[i])
-                ):
-                    c = cand
-                    break
-            if c is None:
-                break
-            conj.append(c)
-        else:
-            g = SemidirectElement(perm, [rho[c] for c in conj])
-            if [tuple(x) for x in semidirect_act(s_point, g)] != list(t_point):
-                raise RuntimeError("orbit element fails the block action law")
-            return True, g
-    return False, None

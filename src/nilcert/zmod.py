@@ -371,7 +371,7 @@ class AbelianModule:
         """0 for a free slot, n_i for a torsion slot."""
         return 0 if i < self.free_rank else self.invariant_factors[i - self.free_rank]
 
-    def reduce(self, vec) -> tuple:
+    def normal_form(self, vec) -> tuple:
         vec = tuple(int(x) for x in vec)
         if len(vec) != self.rank:
             raise ValueError("coordinate length mismatch")
@@ -380,21 +380,30 @@ class AbelianModule:
             v % f for v, f in zip(vec[s:], self.invariant_factors)
         )
 
-    def zero(self) -> tuple:
+    def identity(self) -> tuple:
         return (0,) * self.rank
 
-    def add(self, x, y) -> tuple:
-        return self.reduce(tuple(a + b for a, b in zip(x, y)))
+    def multiply(self, x, y) -> tuple:
+        return self.normal_form(tuple(a + b for a, b in zip(x, y)))
 
-    def neg(self, x) -> tuple:
-        return self.reduce(tuple(-a for a in x))
+    def invert(self, x) -> tuple:
+        return self.normal_form(tuple(-a for a in x))
 
-    def scale(self, k: int, x) -> tuple:
-        return self.reduce(tuple(k * a for a in x))
+    def power(self, x, k: int) -> tuple:
+        return self.normal_form(tuple(k * a for a in x))
+
+    def conjugate(self, x, c) -> tuple:
+        """x^c = x: conjugation is trivial."""
+        return self.normal_form(x)
+
+    def generators(self) -> tuple:
+        """The unit vectors, free slots first."""
+        n = self.rank
+        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
     def element_order(self, x) -> int:
         """Order of x (0 meaning infinite)."""
-        x = self.reduce(x)
+        x = self.normal_form(x)
         if any(x[: self.free_rank]):
             return 0
         n = 1
@@ -457,11 +466,11 @@ class AdaptedQuotient:
             raise ValueError("length mismatch")
         y = self._v.apply_row(tuple(x))
         out = [y[j] for j in self._free_slots] + [y[j] for j in self._tors_slots]
-        return self.module.reduce(tuple(out))
+        return self.module.normal_form(tuple(out))
 
     def lift(self, coords) -> tuple:
         """A preimage in Z^n of the given module coordinates."""
-        coords = self.module.reduce(coords)
+        coords = self.module.normal_form(coords)
         y = [0] * self.n
         s = self.module.free_rank
         for k, j in enumerate(self._free_slots):
@@ -476,7 +485,7 @@ class AdaptedQuotient:
 
 
 def _lattice_rows(ambient: AbelianModule, gens) -> tuple[tuple, ...]:
-    rows = [ambient.reduce(g) for g in gens] + ambient.relation_rows()
+    rows = [ambient.normal_form(g) for g in gens] + ambient.relation_rows()
     h, _ = hnf(IntMatrix(rows)) if rows else (IntMatrix.zeros(0, ambient.rank), None)
     return tuple(r for r in h.entries if any(r))
 
@@ -488,7 +497,7 @@ class Submodule:
 
     def __init__(self, ambient: AbelianModule, gens):
         self.ambient = ambient
-        self.gens = tuple(ambient.reduce(g) for g in gens)
+        self.gens = tuple(ambient.normal_form(g) for g in gens)
         self.lattice = _lattice_rows(ambient, self.gens)
 
     def __eq__(self, other):
@@ -517,7 +526,7 @@ class Submodule:
         return tuple(v)
 
     def contains(self, vec) -> bool:
-        v = self._reduce_vec(self.ambient.reduce(vec))
+        v = self._reduce_vec(self.ambient.normal_form(vec))
         return not any(v)
 
     def contains_module(self, other: "Submodule") -> bool:
@@ -594,7 +603,7 @@ def coset_representatives(sub: Submodule, sup: Submodule) -> list[tuple]:
         vec = tuple(
             sum(x[i] * bsup[i, j] for i in range(k)) for j in range(bsup.cols)
         )
-        reps.append(sub._reduce_vec(sup.ambient.reduce(vec)))
+        reps.append(sub._reduce_vec(sup.ambient.normal_form(vec)))
     reps.sort()
     return reps
 
@@ -651,10 +660,10 @@ class HomModule:
         free = tuple(coeffs[:nf])
         tors = self._tq.coords(tuple(coeffs[nf:]))
         # torsion module has no free part by construction
-        return self.module.reduce(free + tors)
+        return self.module.normal_form(free + tors)
 
     def _coords_to_pair_coeffs(self, coords) -> tuple:
-        coords = self.module.reduce(coords)
+        coords = self.module.normal_form(coords)
         nf = len(self._free_pairs)
         free = coords[:nf]
         tors = self._tq.lift(coords[nf:])
@@ -666,12 +675,12 @@ class HomModule:
         m = [[0] * self.codomain.rank for _ in range(self.domain.rank)]
         for c, (i, j, scale, _o) in zip(coeffs, self._free_pairs + self._tors_pairs):
             m[i][j] += c * scale
-        return tuple(self.codomain.reduce(tuple(r)) for r in m)
+        return tuple(self.codomain.normal_form(tuple(r)) for r in m)
 
     def coords(self, matrix) -> tuple:
         """Module coordinates of a homomorphism matrix; raises ValueError
         when the matrix is not a valid homomorphism."""
-        m = [self.codomain.reduce(r) for r in matrix]
+        m = [self.codomain.normal_form(r) for r in matrix]
         if len(m) != self.domain.rank:
             raise ValueError("matrix row count mismatch")
         coeffs = []
@@ -700,30 +709,14 @@ class HomModule:
     def apply(self, coords, x) -> tuple:
         """Evaluate the homomorphism with given coordinates at x."""
         m = self.matrix(coords)
-        x = self.domain.reduce(x)
+        x = self.domain.normal_form(x)
         img = [0] * self.codomain.rank
         for i, xi in enumerate(x):
             for j in range(self.codomain.rank):
                 img[j] += xi * m[i][j]
-        return self.codomain.reduce(tuple(img))
+        return self.codomain.normal_form(tuple(img))
 
 
 def hom_module(a: AbelianModule, c: AbelianModule) -> HomModule:
     """Hom(a, c) with an explicit basis of homomorphisms."""
     return HomModule(a, c)
-
-
-def brute_force_hom_count(a: AbelianModule, c: AbelianModule) -> int:
-    """Count homomorphisms a -> c by enumerating all generator images
-    (finite codomain; each domain generator of order o needs o*img = 0)."""
-    if not c.is_finite():
-        raise IndexInfinite("codomain must be finite")
-    count = 1
-    for i in range(a.rank):
-        oi = a.slot_order(i)
-        good = 0
-        for img in c.elements():
-            if oi == 0 or c.scale(oi, img) == c.zero():
-                good += 1
-        count *= good
-    return count

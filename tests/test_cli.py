@@ -85,3 +85,196 @@ def test_comment_line_is_a_parse_error(tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["code"] == "parse"
     assert "line 1, column 1" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# whitehead and gog-iso: report -> verify on each kind of group, with the
+# --json stdout pinned
+
+H3 = """\
+group H
+gen x order inf
+gen y order inf
+gen z order inf
+conj y ^ x = y z
+"""
+
+D8 = """\
+group D
+gen a order 2
+gen b order 2
+gen c order 2
+conj b ^ a = b c
+"""
+
+ABELIAN = {"kind": "abelian", "free_rank": 1, "invariant_factors": [2, 4]}
+FINITE = {"kind": "finite", "text": D8}
+PC = {"kind": "pc", "text": H3}
+
+
+def whitehead_round_trip(instance, extra, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    report = str(tmp_path / "r.json")
+    code, out = run(["whitehead", str(path), "--json", "--report", report] + extra, capsys)
+    vcode, vout = run(["verify", report, "--json"], capsys)
+    assert (vcode, json.loads(vout)) == (0, {"kind": "whitehead", "verified": True})
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "group, s, t, expected",
+    [
+        (
+            ABELIAN,
+            [[[1, 0, 1]], [[0, 1, 0]]],
+            [[[1, 1, 0]], [[0, 1, 2]]],
+            '{"kind": "equivalent", "witness": {"conjugators": [[0, 0, 0], [0, 0, 0]], '
+            '"matrix": [[1, 1, 3], [0, 1, 2], [0, 0, 1]]}}\n',
+        ),
+        (
+            ABELIAN,
+            [[[2, 0, 0]]],
+            [[[1, 0, 0]]],
+            '{"certificate": {"coords_a": [[2]], "coords_b": [[1]], "part": "free", '
+            '"reason": "forced transport between the saturations is not integral"}, '
+            '"kind": "not_equivalent"}\n',
+        ),
+        (
+            FINITE,
+            [[2, 4]],
+            [[4, 2]],
+            '{"kind": "equivalent", "witness": {"conjugators": [0], "generator_images": '
+            '[1, 4, 2], "generators": [1, 2, 4], "map": [0, 1, 4, 5, 2, 3, 7, 6]}}\n',
+        ),
+        (
+            FINITE,
+            [[1]],
+            [[0]],
+            '{"certificate": {"aut_order": 8, "order": 8, "reason": "every automorphism '
+            'fails on some tuple for every conjugator"}, "kind": "not_equivalent"}\n',
+        ),
+        (
+            PC,
+            [[[1, 0, 0]]],
+            [[[1, 0, 1]]],
+            '{"kind": "equivalent", "witness": {"conjugators": [[0, 2, 0]], '
+            '"generator_images": [[1, 0, -1], [-1, -1, -1], [0, 0, -1]]}}\n',
+        ),
+        (
+            PC,
+            [[[0, 0, 1]]],
+            [[[0, 0, 2]]],
+            '{"certificate": {"aut_order": 384, "exponent": 4, "kernel_generators": '
+            '[[4, 0, 0], [0, 4, 0], [0, 0, 2]], "kind": "quotient_refutation", '
+            '"projected_s": [[[0, 0, 1]]], "projected_t": [[[0, 0, 0]]], '
+            '"quotient_order": 32}, "kind": "not_equivalent"}\n',
+        ),
+    ],
+)
+def test_whitehead_report_verifies(group, s, t, expected, tmp_path, capsys):
+    code, out = whitehead_round_trip({"group": group, "s": s, "t": t}, [], tmp_path, capsys)
+    assert code == 0
+    assert out == expected
+
+
+def test_whitehead_unknown_exits_2(tmp_path, capsys):
+    instance = {"group": PC, "s": [[[0, 0, 5]]], "t": [[[0, 0, 1]]]}
+    code, out = whitehead_round_trip(instance, ["--budget", "1"], tmp_path, capsys)
+    assert code == 2
+    assert out == (
+        '{"kind": "unknown", "report": {"budget": 1, "quotients": [{"exponent": 2, '
+        '"outcome": "images equivalent in the quotient", "quotient_order": 4}, '
+        '{"exponent": 3, "outcome": "images equivalent in the quotient", '
+        '"quotient_order": 27}], "witness_boxes_swept": [1]}}\n'
+    )
+
+
+def nilpotent_segment_gog(black_image):
+    """A black H3 vertex and a white Z vertex joined by a Z edge."""
+    return {
+        "name": "X",
+        "groups": {"H": PC, "Z": {"kind": "abelian", "free_rank": 1}},
+        "vertices": [
+            {"name": "b", "group": "H", "color": "black"},
+            {"name": "w", "group": "Z", "color": "white"},
+        ],
+        "edges": [
+            {"name": "e", "reverse": "E", "origin": "w", "terminal": "b", "group": "Z",
+             "attaching": [black_image], "reverse_attaching": [[1]]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second, budget, expected",
+    [
+        (
+            [1, 0, 0],
+            [1, 0, 1],
+            "1",
+            '{"kind": "equivalent", "witness": {"attaching_elements": {"E": [0], '
+            '"e": [0, 2, 0]}, "edge_maps": {"E": [[1]], "e": [[1]]}, "graph_edge_map": '
+            '{"E": "E", "e": "e"}, "graph_vertex_map": {"b": "b", "w": "w"}, '
+            '"vertex_maps": {"b": [[1, 0, -1], [-1, -1, -1], [0, 0, -1]], "w": [[1]]}}}\n',
+        ),
+        (
+            [0, 0, 1],
+            [0, 0, 2],
+            "2",
+            '{"certificate": {"abelianization_x1": {"free_rank": 2, "invariant_factors": '
+            '[]}, "abelianization_x2": {"free_rank": 2, "invariant_factors": []}, '
+            '"abelianizations_differ": false, "branches": [{"certificate": {"aut_order": '
+            '384, "exponent": 4, "kernel_generators": [[4, 0, 0], [0, 4, 0], [0, 0, 2]], '
+            '"kind": "quotient_refutation", "projected_s": [[[0, 0, 1]]], "projected_t": '
+            '[[[0, 0, 0]]], "quotient_order": 32}, "graph_map": 0, "orbit_choice": [0], '
+            '"stage": "black vertex", "status": "refuted", "vertex": "b"}], "reason": '
+            '"every branch is refuted by a complete solver"}, "kind": "not_equivalent"}\n',
+        ),
+    ],
+)
+def test_gog_iso_nilpotent_black_report_verifies(
+    first, second, budget, expected, tmp_path, capsys
+):
+    paths = []
+    for name, image in (("x1", first), ("x2", second)):
+        path = tmp_path / f"{name}.gog"
+        path.write_text(json.dumps(nilpotent_segment_gog(image)))
+        paths.append(str(path))
+    report = str(tmp_path / "r.json")
+    code, out = run(["gog-iso", *paths, "--budget", budget, "--json", "--report", report], capsys)
+    assert code == 0
+    assert out == expected
+    code, out = run(["verify", report, "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": "gog_iso", "verified": True})
+
+
+def test_verify_infinite_index_subgroup_is_a_verify_error(tmp_path, capsys):
+    path = tmp_path / "h.pcp"
+    path.write_text(H3)
+    report = tmp_path / "r.json"
+    code, _ = run(["separate-torsion", str(path), "--report", str(report)], capsys)
+    assert code == 0
+    data = json.loads(report.read_text())
+    data["payload"]["result"]["subgroup_generators"] = [[0, 0, 3]]
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
+
+
+def test_report_with_a_seed_key_verifies(mixed_pcp, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code, _ = run(["nf", mixed_pcp, "b a b", "--report", str(report)], capsys)
+    assert code == 0
+    data = json.loads(report.read_text())
+    data["payload"]["seed"] = 5
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": "nf", "verified": True})
+
+
+def test_seed_option_is_gone(mixed_pcp, capsys):
+    code, out = run(["nf", mixed_pcp, "b", "--seed", "3", "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "usage"

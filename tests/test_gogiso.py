@@ -17,7 +17,6 @@ from nilcert.gogiso import (
     fundamental_presentation,
     graph_automorphisms,
     graph_isomorphisms,
-    handle_generators,
     identity_map,
     spanning_tree,
     verify_extension_adjustment,
@@ -237,21 +236,21 @@ def test_group_map_infinite_domain_finite_codomain():
     z1 = AbelianModule(1, [])
     p = PcPresentation(["a"], [4])
     c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
-    gen = handle_generators(c4)[0]
+    gen = c4.generators()[0]
     m = GroupMap(z1, c4, [gen])
     assert m.is_surjective()
     assert not m.is_injective()
-    assert m.preimage(c4.identity) == (0,)
+    assert m.preimage(c4.identity()) == (0,)
 
 
 def test_group_map_finite_table_expansion_and_errors():
     p = PcPresentation(["a"], [4])
     c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
-    gen = handle_generators(c4)[0]
-    inv_images = [c4.inv(gen)]
+    gen = c4.generators()[0]
+    inv_images = [c4.invert(gen)]
     m = GroupMap(c4, c4, inv_images)
     assert m.is_isomorphism()
-    assert m.apply(gen) == c4.inv(gen)
+    assert m.apply(gen) == c4.invert(gen)
     order2 = [i for i in range(4) if c4.element_order(i) == 2][0]
     squaring = GroupMap(c4, c4, [order2])
     assert not squaring.is_injective()
@@ -259,7 +258,7 @@ def test_group_map_finite_table_expansion_and_errors():
     q = PcPresentation(["c"], [3])
     c3 = quotient_table(q, Subgroup(q, []), cap=100, verify=True)
     with pytest.raises(ValueError, match="multiplication table"):
-        GroupMap(c4, c3, [handle_generators(c3)[0]])
+        GroupMap(c4, c3, [c3.generators()[0]])
 
 
 def test_group_map_between_different_tables():
@@ -267,7 +266,7 @@ def test_group_map_between_different_tables():
     t1 = quotient_table(p1, Subgroup(p1, []), cap=100, verify=True)
     p2 = PcPresentation(["a", "b"], [2, 2], powers={0: (0, 1)})
     t2 = quotient_table(p2, Subgroup(p2, []), cap=100, verify=True)
-    g1 = handle_generators(t1)[0]
+    g1 = t1.generators()[0]
     image = [i for i in range(4) if t2.element_order(i) == 4][0]
     m = GroupMap(t1, t2, [image])
     assert m.is_isomorphism()
@@ -669,7 +668,7 @@ def test_decide_nilpotent_unknown_on_small_budget():
 def test_decide_finite_white_group():
     p = PcPresentation(["a"], [4])
     c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
-    gen = handle_generators(c4)[0]
+    gen = c4.generators()[0]
     z_mod2 = AbelianModule(0, [2])
     z_mod4 = AbelianModule(0, [4])
     order2 = [i for i in range(4) if c4.element_order(i) == 2][0]
@@ -687,7 +686,7 @@ def test_decide_finite_white_group():
         )
 
     x = build(order2)
-    inversion = GroupMap(c4, c4, [c4.inv(gen)])
+    inversion = GroupMap(c4, c4, [c4.invert(gen)])
     verdict = decide_gog_iso(x, x, {"w": [identity_map(c4), inversion]})
     assert verdict.is_equivalent()
     assert verify_gog_witness(x, x, verdict.witness)
@@ -696,7 +695,7 @@ def test_decide_finite_white_group():
 def test_decide_finite_black_group():
     p = PcPresentation(["a"], [4])
     c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
-    gen = handle_generators(c4)[0]
+    gen = c4.generators()[0]
     z_mod4 = AbelianModule(0, [4])
     g = segment_graph()
 
@@ -712,7 +711,7 @@ def test_decide_finite_black_group():
         )
 
     x1 = build(gen)
-    x2 = build(c4.inv(gen))
+    x2 = build(c4.invert(gen))
     verdict = decide_gog_iso(x1, x2, {"w": [identity_map(z_mod4)]})
     assert verdict.is_equivalent()
     assert verify_gog_witness(x1, x2, verdict.witness)
