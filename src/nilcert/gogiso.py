@@ -37,7 +37,11 @@ from .nilgroup import (
     PcPresentation,
     Subgroup,
     _Igs,
+    _extend_table_map,
     _lead,
+    apply_images,
+    check_relations,
+    isomorphisms,
     serialize_element,
     torsion_data,
 )
@@ -46,7 +50,7 @@ from .whitehead import (
     NOT_EQUIVALENT,
     UNKNOWN,
     Verdict,
-    _slot_ranges,
+    _box_elements,
     solve_whitehead,
 )
 from .zmod import AbelianModule, AdaptedQuotient, CapExceeded, IntMatrix, solve_integer
@@ -116,25 +120,10 @@ class GroupMap:
         return f"GroupMap(images={self.images!r})"
 
     def _expand_full_map(self):
-        d, c = self.domain, self.codomain
-        ident = d.identity()
-        full = [None] * d.order
-        full[ident] = c.identity()
-        frontier = [ident]
-        while frontier:
-            x = frontier.pop()
-            for g, img in zip(self._gens, self.images):
-                y = d.multiply(x, g)
-                if full[y] is None:
-                    full[y] = c.multiply(full[x], img)
-                    frontier.append(y)
-        if any(v is None for v in full):
-            raise ValueError("generator images do not cover the whole group")
-        for x in range(d.order):
-            for g, img in zip(self._gens, self.images):
-                if full[d.multiply(x, g)] != c.multiply(full[x], img):
-                    raise ValueError("images do not respect the multiplication table")
-        return tuple(full)
+        full = _extend_table_map(self.domain, self.codomain, self._gens, self.images)
+        if full is None:
+            raise ValueError("images do not respect the multiplication table")
+        return tuple(full[x] for x in range(self.domain.order))
 
     def _check_relations(self):
         c = self.codomain
@@ -149,27 +138,13 @@ class GroupMap:
                 if c.power(img, m) != c.identity():
                     raise ValueError("a torsion relation is not respected")
             return
-        p = self.domain
-        for i in range(p.n):
-            for j in range(i + 1, p.n):
-                lhs = c.conjugate(self.images[j], self.images[i])
-                if lhs != self.apply(p.conjugate(p.gen(j), p.gen(i))):
-                    raise ValueError("a conjugation relation is not respected")
-        for i, m in enumerate(p.orders):
-            if m is not None:
-                if c.power(self.images[i], m) != self.apply(p.power(p.gen(i), m)):
-                    raise ValueError("a power relation is not respected")
+        check_relations(self.domain, c, self.images)
 
     def apply(self, x):
         x = self.domain.normal_form(x)
         if self._full is not None:
             return self._full[x]
-        c = self.codomain
-        out = c.identity()
-        for e, img in zip(x, self.images):
-            if e:
-                out = c.multiply(out, c.power(img, e))
-        return out
+        return apply_images(self.codomain, self.images, x)
 
     def preimage(self, y):
         """Some domain element mapping to y, or None."""
@@ -712,7 +687,10 @@ def _base_isomorphism(h1, h2, box):
     """Reference isomorphism h1 -> h2, if the handles can be matched.
 
     Returns (map, status, detail) where status is 'ok', 'refuted' (the
-    groups are certifiably non-isomorphic) or 'unknown'.
+    groups are certifiably non-isomorphic) or 'unknown'.  Finite groups
+    are searched completely.  Pc groups try the identity assignment
+    first, so that equal presentations short-circuit, and then the
+    exponent boxes 1, ..., box in turn.
     """
     if h1 is h2:
         return identity_map(h1), "ok", ""
@@ -730,10 +708,11 @@ def _base_isomorphism(h1, h2, box):
     if isinstance(h1, FiniteGroupTable):
         if h1.order != h2.order:
             return None, "refuted", f"group orders differ: {h1.order} vs {h2.order}"
-        m = _finite_isomorphism(h1, h2)
-        if m is None:
+        gens = h1.generators()
+        phi = next(isomorphisms(h1, h2, [range(h2.order)] * len(gens)), None)
+        if phi is None:
             return None, "refuted", "finite groups are not isomorphic"
-        return m, "ok", ""
+        return GroupMap(h1, h2, [phi[g] for g in gens]), "ok", ""
     hirsch1, hirsch2 = h1.orders.count(None), h2.orders.count(None)
     if hirsch1 != hirsch2:
         return None, "refuted", f"Hirsch lengths differ: {hirsch1} vs {hirsch2}"
@@ -741,64 +720,16 @@ def _base_isomorphism(h1, h2, box):
     a2 = h2.abelianization().module
     if (a1.free_rank, a1.invariant_factors) != (a2.free_rank, a2.invariant_factors):
         return None, "refuted", "abelianizations differ"
-    m = _pc_isomorphism(h1, h2, box)
-    if m is None:
-        return None, "unknown", "no presentation isomorphism found within the search box"
-    return m, "ok", ""
-
-
-def _finite_isomorphism(t1, t2):
-    """Isomorphism between finite tables by exhaustive generator-image
-    search (complete: returns None only when none exists)."""
-    if t1.order != t2.order:
-        return None
-    orders1 = sorted(t1.element_order(i) for i in range(t1.order))
-    orders2 = sorted(t2.element_order(i) for i in range(t2.order))
-    if orders1 != orders2:
-        return None
-    gens = t1.generators()
-    if not gens:
-        return GroupMap(t1, t2, [])
-    cands = [
-        [j for j in range(t2.order) if t2.element_order(j) == t1.element_order(g)]
-        for g in gens
-    ]
-    for images in itertools.product(*cands):
-        try:
-            m = GroupMap(t1, t2, images)
-        except ValueError:
-            continue
-        if m.is_isomorphism():
-            return m
-    return None
-
-
-def _pc_isomorphism(p1, p2, box):
-    """Presentation isomorphism found by a lexicographic image sweep over
-    the exponent box, or None when the sweep is exhausted.  The identity
-    assignment is tried first so that equal presentations short-circuit."""
-    if p1.n == p2.n:
-        try:
-            h = GroupHom(p1, p2, [p2.gen(i) for i in range(p2.n)], check=True)
-            if h.is_surjective():
-                h.inverse()
-                return GroupMap(p1, p2, h.images, check=False)
-        except ValueError:
-            pass
-    element_box = list(itertools.product(*_slot_ranges(p2, box)))
-    for images in itertools.product(element_box, repeat=p1.n):
-        try:
-            h = GroupHom(p1, p2, list(images), check=True)
-        except ValueError:
-            continue
-        if not h.is_surjective():
-            continue
-        try:
-            h.inverse()
-        except ValueError:
-            continue
-        return GroupMap(p1, p2, h.images, check=False)
-    return None
+    sweeps = [[[g] for g in h2.generators()]] if h1.n == h2.n else []
+    sweeps += [[_box_elements(h2, b)] * h1.n for b in range(1, box + 1)]
+    for candidates in sweeps:
+        for images in isomorphisms(h1, h2, candidates):
+            try:
+                GroupHom(h1, h2, images, check=False).inverse()
+            except ValueError:
+                continue
+            return GroupMap(h1, h2, images, check=False), "ok", ""
+    return None, "unknown", "no presentation isomorphism found within the search box"
 
 
 def _conjugate_into_image(vgroup, att, ys, box):
@@ -816,7 +747,7 @@ def _conjugate_into_image(vgroup, att, ys, box):
             if all(t is not None for t in pres):
                 return g, pres
         return None, "refuted"
-    for vec in itertools.product(*_slot_ranges(vgroup, box)):
+    for vec in _box_elements(vgroup, box):
         g = vgroup.normal_form(vec)
         pres = [att.preimage(vgroup.conjugate(y, g)) for y in ys]
         if all(t is not None for t in pres):

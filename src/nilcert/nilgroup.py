@@ -132,6 +132,7 @@ class PcPresentation:
         self.weights = self._compute_weights()
         self._cinv_cache = {}
         self._gamma_cache = None
+        self._relations = None
         if unit_diagonal:
             self.nilpotency_class = max(self.weights) if self.n else 1
             self._class_bound = self.nilpotency_class
@@ -185,6 +186,20 @@ class PcPresentation:
             for (i, j) in by_member.get(k, ()):
                 w[k] = max(w[k], w[i] + w[j])
         return tuple(w)
+
+    def relations(self):
+        """Every defining relation, commuting pairs included: (i, j, v)
+        says g_j^{g_i} = v for i < j, and (i, None, v) says g_i^{m_i} = v."""
+        # cached in an attribute set by __init__: writing to __dict__, as
+        # functools.cached_property does, slows every later attribute
+        # lookup on the instance, the collector's included
+        if self._relations is None:
+            pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+            finite = [i for i, m in enumerate(self.orders) if m is not None]
+            self._relations = tuple((i, j, self._conj_image(i, j)) for i, j in pairs) + tuple(
+                (i, None, self._power_tail(i)) for i in finite
+            )
+        return self._relations
 
     # -- basic element arithmetic -------------------------------------------
 
@@ -602,9 +617,14 @@ class Subgroup:
             h = self._piv.get(d)
             if h is None:
                 continue
+            # one step can leave the coordinate outside [0, h[d]) when an
+            # earlier generator of x acts on g_d by a unit u != 1; each step
+            # keeps it mod h[d] and raises the valuation of the excess at
+            # every prime of the relative order, since u acts unipotently
             q = b // h[d]
-            if q:
+            while q:
                 x = p.multiply(p.power(h, -q), x)
+                q = x[d] // h[d]
         return x
 
     def contains(self, x) -> bool:
@@ -721,10 +741,7 @@ class Subgroup:
             return tuple(c)
 
         def from_sub(c):
-            x = p.identity()
-            for d, e in zip(leads, c):
-                x = p.multiply(x, p.power(self._piv[d], e))
-            return x
+            return apply_images(p, [self._piv[d] for d in leads], c)
 
         conj = {}
         conj_inv = {}
@@ -1010,10 +1027,14 @@ class FiniteGroupTable:
 
     def power(self, i, k):
         if k < 0:
-            return self.power(self.invert(i), -k)
+            i, k = self.invert(i), -k
         x = self._identity
-        for _ in range(k):
-            x = self.multiply(x, i)
+        while k:
+            if k & 1:
+                x = self.multiply(x, i)
+            k >>= 1
+            if k:
+                i = self.multiply(i, i)
         return x
 
     def generators(self):
@@ -1140,14 +1161,6 @@ def _layer_system(p, layer, chain_pivots, tuple_elems):
     return mat, width
 
 
-def _combine(p, pivots, coeffs):
-    z = p.identity()
-    for u, a in zip(pivots, coeffs):
-        if a:
-            z = p.multiply(z, p.power(u, a))
-    return z
-
-
 def simultaneous_conjugator(p: PcPresentation, ts, vs):
     """g with t_j^g = v_j for all j, or None.
 
@@ -1184,8 +1197,8 @@ def simultaneous_conjugator(p: PcPresentation, ts, vs):
         if sol is None:
             return None
         r = len(pivots)
-        g = p.multiply(g, _combine(p, pivots, sol[:r]))
-        new_gens = [_combine(p, pivots, k[:r]) for k in kernel]
+        g = p.multiply(g, apply_images(p, pivots, sol[:r]))
+        new_gens = [apply_images(p, pivots, k[:r]) for k in kernel]
         new_gens.extend(gamma[w].gens)
         chain = Subgroup(p, new_gens)
     for t, v in zip(ts, vs):
@@ -1205,7 +1218,7 @@ def centralizer(p: PcPresentation, ts) -> Subgroup:
         mat, width = _layer_system(p, layer, pivots, ts)
         _, kernel = solve_integer(mat.transpose(), (0,) * width)
         r = len(pivots)
-        new_gens = [_combine(p, pivots, k[:r]) for k in kernel]
+        new_gens = [apply_images(p, pivots, k[:r]) for k in kernel]
         new_gens.extend(gamma[w].gens)
         chain = Subgroup(p, new_gens)
     for t in ts:
@@ -1259,31 +1272,10 @@ class GroupHom:
             self.check_relations()
 
     def check_relations(self):
-        s, t = self.source, self.target
-        for (i, j), v in s.conj.items():
-            lhs = t.conjugate(self.images[j], self.images[i])
-            rhs = self.apply(v)
-            if lhs != rhs:
-                raise ValueError(
-                    f"relation violated: {s.names[j]}^{s.names[i]} = {_word_str(s, v)}"
-                )
-        for i, m in enumerate(s.orders):
-            if m is None:
-                continue
-            lhs = t.power(self.images[i], m)
-            rhs = self.apply(s._power_tail(i))
-            if lhs != rhs:
-                raise ValueError(
-                    f"relation violated: {s.names[i]}^{m} = {_word_str(s, s._power_tail(i))}"
-                )
+        check_relations(self.source, self.target, self.images)
 
     def apply(self, x):
-        x = self.source.normal_form(x)
-        out = self.target.identity()
-        for i, e in enumerate(x):
-            if e:
-                out = self.target.multiply(out, self.target.power(self.images[i], e))
-        return out
+        return apply_images(self.target, self.images, self.source.normal_form(x))
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self o other (apply other first)."""
@@ -1376,6 +1368,150 @@ def is_inner(h: GroupHom):
         raise ValueError("is_inner needs an endomorphism")
     p = h.source
     return simultaneous_conjugator(p, [p.gen(i) for i in range(p.n)], list(h.images))
+
+
+def apply_images(target, images, v):
+    """Image of the normal form v under the map sending generator k to
+    images[k]; the images may stop at the last letter v uses."""
+    out = target.identity()
+    for img, e in zip(images, v):
+        if e:
+            out = target.multiply(out, target.power(img, e))
+    return out
+
+
+def _relation_lhs(p, target, images, rel):
+    i, j, _v = rel
+    if j is None:
+        return target.power(images[i], p.orders[i])
+    return target.conjugate(images[j], images[i])
+
+
+def _relation_holds(p, target, images, rel):
+    return _relation_lhs(p, target, images, rel) == apply_images(target, images, rel[2])
+
+
+def check_relations(p: PcPresentation, target, images):
+    """Raise ValueError naming the first relation of ``p.relations()`` that
+    the generator images in target break."""
+    for rel in p.relations():
+        if not _relation_holds(p, target, images, rel):
+            i, j, v = rel
+            lhs = f"{p.names[i]}^{p.orders[i]}" if j is None else f"{p.names[j]}^{p.names[i]}"
+            raise ValueError(f"relation violated: {lhs} = {_word_str(p, v)}")
+
+
+def isomorphisms(domain, codomain, candidates):
+    """Every isomorphism domain -> codomain that sends the k-th of
+    ``domain.generators()`` into ``candidates[k]``, lazily and in the
+    lexicographic order of the candidate lists.
+
+    A backtrack over generator images that tests relations on prefixes
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
+    2005):
+
+      * pc domain, yielding the tuple of generator images: each relation
+        of ``domain.relations()`` is checked as soon as its highest letter
+        has an image.  A relation whose highest letter g_k lies beyond its
+        left side, with exponent +-1, forces the image of g_k, and only
+        that image is tried (none, when it is not a candidate).  A
+        complete map is kept when it is onto.  Onto suffices for an
+        endomorphism of a finitely generated nilpotent group; callers
+        mapping between two presentations still check
+        ``GroupHom.inverse()``.
+      * FiniteGroupTable domain, yielding the image of every element as a
+        tuple indexed by element: only candidates of the generator's
+        element order are tried, and the map is extended over the
+        subgroup generated so far, stopping at the first Cayley edge that
+        disagrees or the first two elements with one image.
+    """
+    candidates = [[codomain.normal_form(x) for x in cs] for cs in candidates]
+    if isinstance(domain, FiniteGroupTable):
+        return _table_isomorphisms(domain, codomain, candidates)
+    return _pc_isomorphisms(domain, codomain, candidates)
+
+
+def _pc_isomorphisms(p, c, candidates):
+    checks = [[] for _ in range(p.n)]
+    forcing = [None] * p.n
+    for rel in p.relations():
+        i, j, v = rel
+        left = i if j is None else j
+        top = max([left] + [k for k, e in enumerate(v) if e])
+        if top > left and v[top] in (1, -1) and forcing[top] is None:
+            forcing[top] = rel
+        else:
+            checks[top].append(rel)
+    allowed = [set(cs) if forcing[k] else None for k, cs in enumerate(candidates)]
+    images = []
+
+    def extend(k):
+        if k == p.n:
+            if Subgroup(c, images).is_whole_group():
+                yield tuple(images)
+            return
+        options = candidates[k]
+        rel = forcing[k]
+        if rel is not None:
+            # lhs = image of v = image of (v without g_k) * img_k^{+-1}
+            v = rel[2]
+            rest = v[:k] + (0,) * (p.n - k)
+            y = c.multiply(
+                c.invert(apply_images(c, images, rest)), _relation_lhs(p, c, images, rel)
+            )
+            forced = y if v[k] == 1 else c.invert(y)
+            if forced not in allowed[k]:
+                return
+            options = [forced]
+        for img in options:
+            images.append(img)
+            if all(_relation_holds(p, c, images, r) for r in checks[k]):
+                yield from extend(k + 1)
+            images.pop()
+
+    return extend(0)
+
+
+def _table_isomorphisms(d, c, candidates):
+    gens = d.generators()
+    if d.order != c.order:
+        return
+    wants = [d.element_order(g) for g in gens]
+    orders = {}
+    images = []
+
+    def extend(k, phi):
+        if k == len(gens):
+            yield tuple(phi[x] for x in range(d.order))
+            return
+        for img in candidates[k]:
+            if img not in orders:
+                orders[img] = c.element_order(img)
+            if orders[img] != wants[k]:
+                continue
+            images.append(img)
+            ext = _extend_table_map(d, c, gens[: k + 1], images)
+            if ext is not None and len(set(ext.values())) == len(ext):
+                yield from extend(k + 1, ext)
+            images.pop()
+
+    yield from extend(0, {d.identity(): c.identity()})
+
+
+def _extend_table_map(d, c, gens, images):
+    """The homomorphism on the subgroup generated by gens that sends gens
+    to images, as a dict, or None when there is none."""
+    phi = {d.identity(): c.identity()}
+    frontier = [d.identity()]
+    for x in frontier:
+        for g, img in zip(gens, images):
+            y, v = d.multiply(x, g), c.multiply(phi[x], img)
+            if y not in phi:
+                phi[y] = v
+                frontier.append(y)
+            elif phi[y] != v:
+                return None
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .nilgroup import (
     inner_automorphism,
     intersect_finite_index,
     is_inner,
+    isomorphisms,
     quotient_table,
     upper_central_series,
     verbal_power_subgroup,
@@ -180,15 +181,15 @@ class HomStar:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def add(self, other: "HomStar") -> "HomStar":
+    def multiply(self, other: "HomStar") -> "HomStar":
         if self.space is not other.space:
             raise ValueError("operands live in different spaces")
         return HomStar(self.space, self.space.hom.module.multiply(self.coords, other.coords))
 
-    def neg(self) -> "HomStar":
+    def invert(self) -> "HomStar":
         return HomStar(self.space, self.space.hom.module.invert(self.coords))
 
-    def scale(self, k: int) -> "HomStar":
+    def power(self, k: int) -> "HomStar":
         return HomStar(self.space, self.space.hom.module.power(self.coords, k))
 
     def matrix(self):
@@ -343,7 +344,7 @@ def _elusive_with_audit(p: PcPresentation):
             d += 1
             if d > len(reps):
                 raise RuntimeError("coset order exceeds the coset count")
-        conj = is_inner(psi(f.scale(d)))
+        conj = is_inner(psi(f.power(d)))
         if conj is None:
             raise RuntimeError("a finite power of an elusive class is not inner")
         if not space.nu2.contains(conj):
@@ -436,71 +437,20 @@ class OutFiniteResult:
 
 
 def out_finite(table: FiniteGroupTable, cap=512) -> OutFiniteResult:
-    """All automorphisms of a finite group by backtracking over images
-    of a greedy generating sequence, with each automorphism flagged
-    inner or outer."""
+    """All automorphisms of a finite group, as images of its greedy
+    generators in the order ``nilgroup.isomorphisms`` yields them, with
+    each automorphism flagged inner or outer."""
     n = table.order
     if n > cap:
         raise CapExceeded(f"group order {n} exceeds the cap {cap}")
-    gens = list(table.generators())
-    m = len(gens)
-    orders = [table.element_order(i) for i in range(n)]
-    # per level: elements of the subgroup generated so far, in an order
-    # where each element after the identity factors as an earlier
-    # element times a generator
-    levels = []
-    ident = table.identity()
-    for k in range(1, m + 1):
-        fact = {ident: None}
-        listed = [ident]
-        frontier = [ident]
-        while frontier:
-            x = frontier.pop(0)
-            for gi in range(k):
-                y = table.multiply(x, gens[gi])
-                if y not in fact:
-                    fact[y] = (x, gi)
-                    listed.append(y)
-                    frontier.append(y)
-        levels.append((listed, fact))
-    found = []
-    images = [0] * m
-
-    def search(k, prev_phi):
-        if k == m:
-            if len(set(prev_phi.values())) == n:
-                found.append(tuple(images))
-            return
-        want = orders[gens[k]]
-        listed, fact = levels[k]
-        for c in range(n):
-            if orders[c] != want:
-                continue
-            images[k] = c
-            phi = {}
-            for y in listed:
-                if fact[y] is None:
-                    phi[y] = ident
-                else:
-                    x, gi = fact[y]
-                    phi[y] = table.multiply(phi[x], images[gi])
-            ok = True
-            for y in listed:
-                for gi in range(k + 1):
-                    if phi[table.multiply(y, gens[gi])] != table.multiply(phi[y], images[gi]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                search(k + 1, phi)
-
-    search(0, {ident: ident})
-    inner_tuples = set()
-    for c in range(n):
-        inner_tuples.add(tuple(table.conjugate(g, c) for g in gens))
+    gens = table.generators()
+    found = [
+        tuple(phi[g] for g in gens)
+        for phi in isomorphisms(table, table, [range(n)] * len(gens))
+    ]
+    inner_tuples = {tuple(table.conjugate(g, c) for g in gens) for c in range(n)}
     flags = [tup in inner_tuples for tup in found]
-    return OutFiniteResult(table, tuple(gens), found, flags)
+    return OutFiniteResult(table, gens, found, flags)
 
 
 # ---------------------------------------------------------------------------

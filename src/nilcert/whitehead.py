@@ -37,12 +37,12 @@ from .nilgroup import (
     FiniteGroupTable,
     GroupHom,
     PcPresentation,
+    isomorphisms,
     quotient_table,
     serialize_element,
     simultaneous_conjugator,
     verbal_power_subgroup,
 )
-from .outsep import out_finite
 from .malcev import (
     QMatrix,
     SemidirectElement,
@@ -250,22 +250,13 @@ def _torsion_automorphisms(factors, cap):
         raise CapExceeded(f"torsion component order {order} exceeds cap {cap}")
     t = len(factors)
     elems = list(itertools.product(*[range(f) for f in factors]))
-    cands = []
-    for j, f in enumerate(factors):
-        cands.append(
-            [e for e in elems if tm.normal_form(tuple(f * c for c in e)) == (0,) * t]
-        )
-
-    def apply_rows(rows, y):
-        acc = [0] * t
-        for yj, row in zip(y, rows):
-            for i in range(t):
-                acc[i] += yj * row[i]
-        return tm.normal_form(acc)
-
-    for rows in itertools.product(*cands):
-        if len({apply_rows(rows, y) for y in elems}) == order:
-            yield IntMatrix(rows, cols=t)
+    cands = [
+        [e for e in elems if tm.normal_form(tuple(f * c for c in e)) == (0,) * t]
+        for f in factors
+    ]
+    pc = PcPresentation([f"t{j}" for j in range(t)], factors)
+    for rows in isomorphisms(pc, pc, cands):
+        yield IntMatrix(rows, cols=t)
 
 
 def _solve_shear(xs_free, targets, factors):
@@ -432,24 +423,6 @@ def verify_abelian_witness(g: AbelianModule, s, t, witness) -> bool:
 # finite case: complete brute force
 
 
-def _full_automorphism_map(table: FiniteGroupTable, gens, images):
-    """Extend generator images to the whole group by breadth-first
-    factorization; returns the image list indexed by element."""
-    e = table.identity()
-    phi = {e: e}
-    frontier = [e]
-    while frontier:
-        x = frontier.pop(0)
-        for gi, gidx in enumerate(gens):
-            y = table.multiply(x, gidx)
-            if y not in phi:
-                phi[y] = table.multiply(phi[x], images[gi])
-                frontier.append(y)
-    if len(phi) != table.order:
-        raise RuntimeError("generator set does not generate the table")
-    return [phi[i] for i in range(table.order)]
-
-
 def whitehead_finite(f: FiniteGroupTable, s, t, cap=4096) -> Verdict:
     """Complete decision over a finite group by brute force over all
     automorphisms and all conjugators.  Never returns Unknown."""
@@ -458,9 +431,10 @@ def whitehead_finite(f: FiniteGroupTable, s, t, cap=4096) -> Verdict:
     _check_shapes(s, t)
     if f.order > cap:
         raise CapExceeded(f"group order {f.order} exceeds cap {cap}")
-    aut = out_finite(f, cap=cap)
-    for images in aut.automorphisms:
-        phi = _full_automorphism_map(f, aut.generators, images)
+    gens = f.generators()
+    aut_order = 0
+    for phi in isomorphisms(f, f, [range(f.order)] * len(gens)):
+        aut_order += 1
         conj = []
         for stup, ttup in zip(s.tuples, t.tuples):
             g = None
@@ -476,8 +450,8 @@ def whitehead_finite(f: FiniteGroupTable, s, t, cap=4096) -> Verdict:
                 EQUIVALENT,
                 witness={
                     "map": list(phi),
-                    "generators": list(aut.generators),
-                    "generator_images": list(images),
+                    "generators": list(gens),
+                    "generator_images": [phi[g] for g in gens],
                     "conjugators": conj,
                 },
             )
@@ -485,7 +459,7 @@ def whitehead_finite(f: FiniteGroupTable, s, t, cap=4096) -> Verdict:
         NOT_EQUIVALENT,
         certificate={
             "reason": "every automorphism fails on some tuple for every conjugator",
-            "aut_order": aut.aut_order,
+            "aut_order": aut_order,
             "order": f.order,
         },
     )
@@ -537,35 +511,19 @@ def refutation_exponents(count):
     return sorted(vals)[:count]
 
 
-def _slot_ranges(p: PcPresentation, box):
-    ranges = []
-    for o in p.orders:
-        if o is None:
-            ranges.append(range(-box, box + 1))
-        else:
-            ranges.append(range(0, min(o, box + 1)))
-    return ranges
-
-
-def _box_automorphisms(p: PcPresentation, box):
-    """All automorphisms whose generator images have normal-form
-    exponents within the box, in lexicographic order of the
-    concatenated image vectors."""
-    ranges = _slot_ranges(p, box)
-    image_choices = itertools.product(
-        *[itertools.product(*ranges) for _ in range(p.n)]
-    )
-    for images in image_choices:
-        try:
-            h = GroupHom(p, p, list(images), check=True)
-        except ValueError:
-            continue
-        if h.is_automorphism():
-            yield h
+def _box_elements(p: PcPresentation, box):
+    """Normal forms with exponents in [-box, box], or in
+    [0, min(m, box + 1)) at a generator of relative order m, in
+    lexicographic order."""
+    return list(itertools.product(*[
+        range(-box, box + 1) if o is None else range(min(o, box + 1))
+        for o in p.orders
+    ]))
 
 
 def _witness_search(p, s, t, box):
-    for h in _box_automorphisms(p, box):
+    for images in isomorphisms(p, p, [_box_elements(p, box)] * p.n):
+        h = GroupHom(p, p, images, check=False)
         conj = []
         for stup, ttup in zip(s.tuples, t.tuples):
             mapped = [h.apply(x) for x in stup]
@@ -630,9 +588,13 @@ def whitehead_nilpotent(p: PcPresentation, s, t, budget=2,
     solves for per-tuple conjugators by exact layered lifting.  Any
     Equivalent or NotEquivalent answer carries a re-verifiable
     certificate; Unknown reports the exhausted budget.  The sweep is
-    lexicographic, so results are deterministic, and the witness
-    returned at a given budget is the least one in that order.  The
-    sweep cost grows exponentially with the budget.
+    ``nilgroup.isomorphisms`` over the box: it assigns images one
+    generator at a time in lexicographic order, drops a prefix as soon
+    as a relation among the assigned generators fails, and takes the
+    image a relation forces (z = [y, x] in H3, say) instead of trying
+    the box.  So results are deterministic, and the witness returned at
+    a given budget is the least one in that order.  The sweep cost
+    still grows exponentially with the budget.
     """
     s = tuple_system(p, s)
     t = tuple_system(p, t)

@@ -5,12 +5,13 @@ subtler route, by brute force and independently of that route, so the
 tests can compare the two.
 """
 
+import itertools
 from itertools import permutations, product as iproduct
 from math import factorial
 
 from nilcert import whitehead
 from nilcert.malcev import QMatrix, SemidirectElement, semidirect_act
-from nilcert.nilgroup import Subgroup
+from nilcert.nilgroup import GroupHom, PcPresentation, Subgroup
 from nilcert.outsep import out_finite
 from nilcert.zmod import CapExceeded, IndexInfinite
 
@@ -147,7 +148,7 @@ def orbit_matches_finite(table, s, t, cap=512):
     t_point = [tuple(rho[i] for i in tup) for tup in t.tuples]
     aut = out_finite(table, cap=cap)
     for images in aut.automorphisms:
-        phi = whitehead._full_automorphism_map(table, aut.generators, images)
+        phi = full_automorphism_map(table, aut.generators, images)
         perm = QMatrix(
             [[1 if j == phi[i] else 0 for j in range(n)] for i in range(n)]
         )
@@ -172,3 +173,74 @@ def orbit_matches_finite(table, s, t, cap=512):
                 raise RuntimeError("orbit element fails the block action law")
             return True, g
     return False, None
+
+
+def full_automorphism_map(table, gens, images):
+    """Extend generator images to the whole group by breadth-first
+    factorization; returns the image list indexed by element."""
+    e = table.identity()
+    phi = {e: e}
+    frontier = [e]
+    while frontier:
+        x = frontier.pop(0)
+        for gi, gidx in enumerate(gens):
+            y = table.multiply(x, gidx)
+            if y not in phi:
+                phi[y] = table.multiply(phi[x], images[gi])
+                frontier.append(y)
+    if len(phi) != table.order:
+        raise RuntimeError("generator set does not generate the table")
+    return [phi[i] for i in range(table.order)]
+
+
+def _slot_ranges(p: PcPresentation, box):
+    ranges = []
+    for o in p.orders:
+        if o is None:
+            ranges.append(range(-box, box + 1))
+        else:
+            ranges.append(range(0, min(o, box + 1)))
+    return ranges
+
+
+def box_automorphisms(p: PcPresentation, box):
+    """All automorphisms whose generator images have normal-form
+    exponents within the box, in lexicographic order of the
+    concatenated image vectors."""
+    ranges = _slot_ranges(p, box)
+    image_choices = itertools.product(
+        *[itertools.product(*ranges) for _ in range(p.n)]
+    )
+    for images in image_choices:
+        try:
+            h = GroupHom(p, p, list(images), check=True)
+        except ValueError:
+            continue
+        if h.is_automorphism():
+            yield h
+
+
+def table_isomorphisms(t1, t2):
+    """Every isomorphism between two tables as the image of every element
+    of t1, by trying all images of t1's generators, in lexicographic
+    order, and checking each whole map on every pair of elements."""
+    gens = t1.generators()
+    out = []
+    for images in iproduct(range(t2.order), repeat=len(gens)):
+        phi = {t1.identity(): t2.identity()}
+        frontier = [t1.identity()]
+        for x in frontier:
+            for g, img in zip(gens, images):
+                y = t1.multiply(x, g)
+                if y not in phi:
+                    phi[y] = t2.multiply(phi[x], img)
+                    frontier.append(y)
+        if len(set(phi.values())) != t2.order or len(phi) != t1.order:
+            continue
+        if all(
+            phi[t1.multiply(a, b)] == t2.multiply(phi[a], phi[b])
+            for a in range(t1.order)
+            for b in range(t1.order)
+        ):
+            out.append(tuple(phi[x] for x in range(t1.order)))
+    return out

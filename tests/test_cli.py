@@ -278,3 +278,21 @@ def test_seed_option_is_gone(mixed_pcp, capsys):
     code, out = run(["nf", mixed_pcp, "b", "--seed", "3", "--json"], capsys)
     assert code == 1
     assert json.loads(out)["error"]["code"] == "usage"
+
+
+def test_verify_rejects_a_witness_that_breaks_a_commuting_pair(tmp_path, capsys):
+    h3z = H3.replace("conj", "gen w order inf\nconj")
+    instance = {"group": {"kind": "pc", "text": h3z}, "s": [[[0, 0, 0, 1]]], "t": [[[0, 0, 0, 1]]]}
+    code, _ = whitehead_round_trip(instance, [], tmp_path, capsys)
+    assert code == 0
+    report = tmp_path / "r.json"
+    data = json.loads(report.read_text())
+    # w -> x w respects y^x = y z and is onto, but breaks w^y = w
+    data["payload"]["problem"]["t"] = [[[1, 0, 0, 1]]]
+    data["payload"]["result"]["witness"]["generator_images"] = [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]
+    ]
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"

@@ -932,3 +932,16 @@ def test_spanning_tree_requires_connected_graph():
     )
     with pytest.raises(ValueError, match="connected"):
         spanning_tree(g)
+
+
+def test_decide_black_groups_given_by_two_presentations():
+    # H3 as y^x = y z and as y^x = y z^-1: the base isomorphism lies in
+    # the exponent box 1, which is searched before box 2
+    h3 = PcPresentation(["x", "y", "z"], [None] * 3, conj={(0, 1): (0, 1, 1)})
+    x1 = segment_gog((1, 0, 0), (1,), black_group=h3, white_group=AbelianModule(1, []))
+    x2 = segment_gog(
+        (1, 0, 0), (1,), black_group=heisenberg(), white_group=AbelianModule(1, [])
+    )
+    verdict = decide_gog_iso(x1, x2, {"w": [identity_map(x2.vertex_groups["w"])]})
+    assert verdict.is_equivalent()
+    assert verify_gog_witness(x1, x2, verdict.witness)

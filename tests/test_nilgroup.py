@@ -627,3 +627,23 @@ def test_finite_table_from_rows():
     assert t.element_order(1) == 3
     assert t.invert(1) == 2
     assert t.multiply(1, 2) == 0
+
+
+def test_finite_table_power_of_a_large_exponent():
+    rows = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    t = FiniteGroupTable.from_table(rows)
+    assert t.power(1, 7 * 10**12 + 3) == t.power(1, 3) == 3
+    assert t.power(1, 10**12 + 3) == t.power(1, (10**12 + 3) % 7)
+    assert t.power(2, -(10**12)) == t.invert(t.power(2, 10**12 % 7))
+
+
+def test_reduce_is_canonical_under_a_non_unit_diagonal():
+    # M = Z x| Z/4 with b^a = b^3; G^3 = <a^3, b>, so a*b and a share a coset
+    m = PcPresentation(["a", "b"], [None, 4], conj={(0, 1): (0, 3)})
+    k = verbal_power_subgroup(m, 3)
+    assert k.gens == ((3, 0), (0, 1))
+    assert k.reduce((1, 1)) == k.reduce((1, 0)) == (1, 0)
+    table = quotient_table(m, k, verify=False)
+    assert table.project((1, 1)) == table.project((1, 0))
+    for x in [(e, f) for e in range(-4, 5) for f in range(4)]:
+        assert k.reduce(x) == ((x[0] % 3), 0)

@@ -537,3 +537,29 @@ def test_orbit_and_abstract_solvers_agree():
             equivalent_count += 1
             assert element is not None
     assert equivalent_count == 4
+
+
+def test_nilpotent_witness_verifier_checks_commuting_pairs():
+    # H3 x Z: w -> x w, fixing x, y, z, respects y^x = y z, the only listed
+    # conjugation relation, and is onto, but breaks w^y = w
+    from nilcert.nilgroup import GroupHom
+    from nilcert.outsep import OuterAutoClass
+
+    p = PcPresentation(["x", "y", "z", "w"], [None] * 4, conj={(0, 1): (0, 1, 1, 0)})
+    images = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+    witness = {"generator_images": images, "conjugators": [[0, 0, 0, 0]]}
+    assert not verify_nilpotent_witness(p, [((0, 0, 0, 1),)], [((1, 0, 0, 1),)], witness)
+    with pytest.raises(ValueError, match="relation violated: w\\^y = w"):
+        GroupHom(p, p, images)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        OuterAutoClass(GroupHom(p, p, images, check=False), check=True)
+
+
+def test_nilpotent_non_unit_diagonal_witness():
+    # M = Z x| Z/4 with b^a = b^3: a -> a b, b -> b maps (a) to (a b)
+    p = PcPresentation(["a", "b"], [None, 4], conj={(0, 1): (0, 3)})
+    s, t = [((1, 0),)], [((1, 1),)]
+    v = whitehead_nilpotent(p, s, t, budget=1)
+    assert v.is_equivalent()
+    assert v.witness == {"generator_images": [[1, 1], [0, 1]], "conjugators": [[0, 0]]}
+    assert verify_nilpotent_witness(p, s, t, v.witness)
