@@ -600,7 +600,7 @@ def _add_common(sp):
     sp.add_argument(
         "--quotient-cap",
         type=int,
-        default=int(os.environ.get("NILCERT_QUOTIENT_CAP", DEFAULT_CAP)),
+        default=DEFAULT_CAP,
         help="largest finite quotient the tool will build",
     )
 

@@ -41,6 +41,7 @@ still test the class with ``isinstance``.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .zmod import (
@@ -863,10 +864,29 @@ class QuotientMap:
         gens = [self.lift(g) for g in sub.gens] + list(self.kernel.gens)
         return Subgroup(self.source, gens)
 
+    def elements(self, cap=10**6):
+        """Every element of a finite target, as its normal forms in
+        lexicographic order; each one must come back from lift then
+        project unchanged.  The cap is checked against the product of the
+        relative orders before anything is enumerated."""
+        orders = self.target.orders
+        if None in orders:
+            raise IndexInfinite("quotient is infinite")
+        total = math.prod(orders)
+        if total > cap:
+            raise CapExceeded(f"quotient order {total} exceeds cap {cap}")
+        elems = list(itertools.product(*(range(m) for m in orders)))
+        if any(self.project(self.lift(e)) != e for e in elems):
+            raise RuntimeError("transversal enumeration mismatch")
+        return elems
+
 
 class FiniteGroupTable:
-    """Finite group; either a finite-index quotient (elements are canonical
-    coset representatives) or an explicit multiplication table."""
+    """Finite group; either a finite-index quotient or an explicit
+    multiplication table.  A quotient table's elements are the normal forms
+    of ``qmap.target``, the quotient's own pc presentation, which does its
+    arithmetic; ``project`` takes a source element to its index and
+    ``qmap.lift`` takes an element back to a source vector."""
 
     def __init__(self, elements, mult_fn, inv_fn=None, identity_elem=None,
                  verify=True, rng_seed=7):
@@ -930,44 +950,9 @@ class FiniteGroupTable:
 
     @classmethod
     def from_quotient(cls, qmap: QuotientMap, cap=10**6, verify=True):
-        src = qmap.source
-        ker = qmap.kernel
-        piv = ker.pivots
-        ranges = []
-        for d in range(src.n):
-            m = src.orders[d]
-            h = piv.get(d)
-            if h is None:
-                if m is None:
-                    raise IndexInfinite("quotient is infinite")
-                ranges.append(m)
-            else:
-                ranges.append(h[d])
-        total = 1
-        for rr in ranges:
-            total *= rr
-        if total > cap:
-            raise CapExceeded(f"quotient order {total} exceeds cap {cap}")
-        elems = [()]
-        for rr in ranges:
-            elems = [e + (v,) for e in elems for v in range(rr)]
-        elems = sorted(set(ker.reduce(e) for e in elems))
-        if len(elems) != total:
-            raise RuntimeError("transversal enumeration mismatch")
-
-        def mult_vec(a, b):
-            return ker.reduce(src.multiply(a, b))
-
-        def inv_vec(a):
-            return ker.reduce(src.invert(a))
-
-        table = cls(
-            elems,
-            mult_vec,
-            inv_fn=inv_vec,
-            identity_elem=src.identity(),
-            verify=verify,
-        )
+        q = qmap.target
+        table = cls(qmap.elements(cap), q.multiply, inv_fn=q.invert,
+                    identity_elem=q.identity(), verify=verify)
         table.qmap = qmap
         return table
 
@@ -1067,7 +1052,7 @@ class FiniteGroupTable:
         """Index of the image of a source element (quotient tables only)."""
         if self.qmap is None:
             raise ValueError("not a quotient table")
-        return self._index[self.qmap.kernel.reduce(self.qmap.source.normal_form(x))]
+        return self._index[self.qmap.project(x)]
 
 
 def serialize_element(x):
@@ -1076,11 +1061,9 @@ def serialize_element(x):
     return int(x) if isinstance(x, int) else [int(c) for c in x]
 
 
-def quotient_table(p: PcPresentation, kernel: Subgroup, cap=10**6, verify=True,
-                   check_normal=True) -> FiniteGroupTable:
-    return FiniteGroupTable.from_quotient(
-        QuotientMap(p, kernel, check_normal=check_normal), cap=cap, verify=verify
-    )
+def quotient_table(p: PcPresentation, kernel: Subgroup, cap=10**6,
+                   verify=True) -> FiniteGroupTable:
+    return FiniteGroupTable.from_quotient(QuotientMap(p, kernel), cap=cap, verify=verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1628,81 +1611,21 @@ def torsion_data(p: PcPresentation, cap=10**6) -> TorsionData:
 
 
 # ---------------------------------------------------------------------------
-# verbal power subgroups and low index subgroups
+# verbal power subgroups
 
 
 def verbal_power_subgroup(p: PcPresentation, k: int, cap=10**6) -> Subgroup:
-    """G^k = <x^k : x in G>, certified via the finite quotient by the normal
-    closure of the generator k-th powers."""
+    """G^k = <x^k : x in G>: the preimage of the subgroup that the k-th powers
+    generate in the finite quotient G/H, H the normal closure of the
+    generators' k-th powers, with the powers taken in G/H's own pc
+    presentation (CapExceeded when |G/H| > cap)."""
     if k < 1:
         raise ValueError("power must be >= 1")
     if k == 1:
         return Subgroup(p, [p.gen(i) for i in range(p.n)])
     h = Subgroup(p, [p.power(p.gen(i), k) for i in range(p.n)], normal_closure=True)
-    table = quotient_table(p, h, cap=cap, verify=False, check_normal=False)
-    gens = list(h.gens)
-    for elem in table.elements:
-        gens.append(p.power(elem, k))
-    return Subgroup(p, gens, normal_closure=True)
-
-
-def low_index_subgroups(p: PcPresentation, d: int, cap=10**6):
-    """All subgroups of index <= d, by canonical echelon pattern enumeration
-    with closure filtering."""
-    if d < 1:
-        raise ValueError("index bound must be >= 1")
-    if d > 6:
-        raise CapExceeded("low-index bound capped at 6")
-    choices = []
-    for i in range(p.n):
-        m = p.orders[i]
-        if m is None:
-            choices.append(list(range(1, d + 1)))
-        else:
-            divs = [e for e in range(1, min(m, d) + 1) if m % e == 0]
-            if m <= d:
-                divs.append(m)
-            choices.append(sorted(set(divs)))
-    found = {}
-
-    def rec(i, idx, pattern):
-        if i == p.n:
-            _try_pattern(p, pattern, d, found)
-            return
-        for e in choices[i]:
-            if idx * e <= d:
-                rec(i + 1, idx * e, pattern + [e])
-
-    rec(0, 1, [])
-    return [found[key] for key in sorted(found)]
-
-
-def _try_pattern(p, pattern, d, found):
-    from itertools import product as iproduct
-
-    slots = []
-    for i, e in enumerate(pattern):
-        m = p.orders[i]
-        if m is not None and e == m:
-            continue  # a full torsion slot needs no pivot
-        slots.append((i, e))
-    ranges = []
-    for (i, _e) in slots:
-        for j in range(i + 1, p.n):
-            ranges.append(range(pattern[j]))
-    for cvals in iproduct(*ranges):
-        gens = []
-        pos = 0
-        for (i, e) in slots:
-            vec = [0] * p.n
-            vec[i] = e
-            for j in range(i + 1, p.n):
-                vec[j] = cvals[pos]
-                pos += 1
-            gens.append(tuple(vec))
-        s = Subgroup(p, gens)
-        try:
-            if s.index_in_parent() <= d:
-                found.setdefault(s.gens, s)
-        except IndexInfinite:
-            pass
+    qmap = QuotientMap(p, h, check_normal=False)
+    q = qmap.target
+    # the k-th powers are a conjugation-invariant set, so they generate a
+    # normal subgroup of G/H, and its preimage is G^k
+    return qmap.preimage(Subgroup(q, [q.power(e, k) for e in qmap.elements(cap)]))

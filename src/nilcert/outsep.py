@@ -494,7 +494,7 @@ def survives(a: OuterAutoClass, p0: Subgroup, cap=10**6) -> SurvivalCheck:
     for g in p0.gens:
         if not p0.contains(rep.apply(g)):
             raise ValueError("subgroup is not preserved by the representative")
-    table = quotient_table(p, p0, cap=cap, verify=False, check_normal=True)
+    table = quotient_table(p, p0, cap=cap, verify=False)
     gen_imgs = [table.project(p.gen(k)) for k in range(p.n)]
     induced = [table.project(rep.apply(p.gen(k))) for k in range(p.n)]
     conj = None
@@ -502,11 +502,12 @@ def survives(a: OuterAutoClass, p0: Subgroup, cap=10**6) -> SurvivalCheck:
         if all(table.conjugate(g, c) == im for g, im in zip(gen_imgs, induced)):
             conj = c
             break
+    lift = table.qmap.lift
     return SurvivalCheck(
         conj is None,
         table.order,
-        [table.elements[i] for i in induced],
-        None if conj is None else table.elements[conj],
+        [lift(table.elements[i]) for i in induced],
+        None if conj is None else lift(table.elements[conj]),
     )
 
 
@@ -564,7 +565,10 @@ class CongruenceCertificate:
             if sub != verbal_power_subgroup(p, 3):
                 raise RuntimeError("base case subgroup is not the third powers")
             return True
-        for entry in self.elusive_data:
+        final = self.survival_log[-1]["classes"] if self.survival_log else []
+        if len(final) != len(self.elusive_data):
+            raise RuntimeError("final survival level does not list every elusive class")
+        for entry, logged in zip(self.elusive_data, final):
             images = [tuple(v) for v in entry["representative_images"]]
             cls = OuterAutoClass(GroupHom(p, p, images, check=True), check=True)
             if cls.is_trivial():
@@ -572,13 +576,11 @@ class CongruenceCertificate:
             check = survives(cls, sub)
             if not check.survived:
                 raise RuntimeError("logged elusive class dies in the final quotient")
+            if logged != dict(check.as_dict(), coset=entry["coset"]):
+                raise RuntimeError("final survival level does not recompute")
         if self.survival_log:
-            last = self.survival_log[-1]
-            order = quotient_table(p, sub, verify=False).order
-            if order != last["quotient_order"]:
+            if sub.index_in_parent() != self.survival_log[-1]["quotient_order"]:
                 raise RuntimeError("final quotient order disagrees with the log")
-            if not all(c["survived"] for c in last["classes"]):
-                raise RuntimeError("log does not end with full survival")
         return True
 
 

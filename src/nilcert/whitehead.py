@@ -559,23 +559,30 @@ def _try_refutation(p, s, t, exponent, finite_cap, quotient_cap):
         record["outcome"] = "skipped: quotient order cap"
         return record, None
     record["quotient_order"] = table.order
+    cert = _quotient_refutation(s, t, exponent, table, finite_cap)
+    record["outcome"] = "refuted" if cert is not None else "images equivalent in the quotient"
+    return record, cert
+
+
+def _quotient_refutation(s, t, exponent, table, finite_cap):
+    """The refutation certificate when the complete finite solver finds
+    the images of s and t in the quotient table inequivalent, else None.
+    Quotient elements are written as source vectors."""
     s_img = [[table.project(x) for x in tup] for tup in s.tuples]
     t_img = [[table.project(x) for x in tup] for tup in t.tuples]
     verdict = whitehead_finite(table, s_img, t_img, cap=finite_cap)
-    if verdict.is_not_equivalent():
-        record["outcome"] = "refuted"
-        cert = {
-            "kind": "quotient_refutation",
-            "exponent": exponent,
-            "quotient_order": table.order,
-            "kernel_generators": [list(v) for v in sub.gens],
-            "projected_s": [[list(table.elements[i]) for i in tup] for tup in s_img],
-            "projected_t": [[list(table.elements[i]) for i in tup] for tup in t_img],
-            "aut_order": verdict.certificate["aut_order"],
-        }
-        return record, cert
-    record["outcome"] = "images equivalent in the quotient"
-    return record, None
+    if not verdict.is_not_equivalent():
+        return None
+    lift = table.qmap.lift
+    return {
+        "kind": "quotient_refutation",
+        "exponent": exponent,
+        "quotient_order": table.order,
+        "kernel_generators": [list(v) for v in table.qmap.kernel.gens],
+        "projected_s": [[list(lift(table.elements[i])) for i in tup] for tup in s_img],
+        "projected_t": [[list(lift(table.elements[i])) for i in tup] for tup in t_img],
+        "aut_order": verdict.certificate["aut_order"],
+    }
 
 
 def whitehead_nilpotent(p: PcPresentation, s, t, budget=2,
@@ -657,17 +664,15 @@ def verify_nilpotent_witness(p: PcPresentation, s, t, witness) -> bool:
 def verify_quotient_refutation(p: PcPresentation, s, t, certificate,
                                finite_cap=512, quotient_cap=10**6) -> bool:
     """Independent re-check of a quotient refutation: rebuild the verbal
-    power subgroup, re-project, and re-run the complete finite solver."""
+    power subgroup, re-project, re-run the complete finite solver, and
+    compare every field of the certificate with the recomputed one."""
     s = tuple_system(p, s)
     t = tuple_system(p, t)
     _check_shapes(s, t)
-    sub = verbal_power_subgroup(p, certificate["exponent"], cap=quotient_cap)
+    exponent = certificate["exponent"]
+    sub = verbal_power_subgroup(p, exponent, cap=quotient_cap)
     table = quotient_table(p, sub, cap=finite_cap, verify=True)
-    if table.order != certificate["quotient_order"]:
-        return False
-    s_img = [[table.project(x) for x in tup] for tup in s.tuples]
-    t_img = [[table.project(x) for x in tup] for tup in t.tuples]
-    return whitehead_finite(table, s_img, t_img, cap=finite_cap).is_not_equivalent()
+    return _quotient_refutation(s, t, exponent, table, finite_cap) == certificate
 
 
 # ---------------------------------------------------------------------------

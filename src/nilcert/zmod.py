@@ -535,9 +535,6 @@ class Submodule:
     def join(self, other: "Submodule") -> "Submodule":
         return Submodule(self.ambient, self.gens + other.gens)
 
-    def rank_(self) -> int:
-        return len(self.lattice)
-
     def index_in_ambient(self) -> int:
         """[ambient : self], raises IndexInfinite when infinite."""
         n = self.ambient.rank
@@ -547,10 +544,6 @@ class Submodule:
         for i, row in enumerate(self.lattice):
             idx *= row[i] if row[i] else 0
         return idx
-
-    def as_quotient(self) -> AdaptedQuotient:
-        """ambient / self as an adapted quotient of Z^rank."""
-        return AdaptedQuotient(self.ambient.rank, list(self.lattice))
 
 
 def isolator(s: Submodule) -> Submodule:

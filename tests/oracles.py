@@ -6,12 +6,11 @@ tests can compare the two.
 """
 
 import itertools
-from itertools import permutations, product as iproduct
-from math import factorial
+from itertools import product as iproduct
 
 from nilcert import whitehead
 from nilcert.malcev import QMatrix, SemidirectElement, semidirect_act
-from nilcert.nilgroup import GroupHom, PcPresentation, Subgroup
+from nilcert.nilgroup import FiniteGroupTable, GroupHom, PcPresentation, QuotientMap, Subgroup
 from nilcert.outsep import out_finite
 from nilcert.zmod import CapExceeded, IndexInfinite
 
@@ -32,87 +31,66 @@ def brute_force_hom_count(a, c):
     return count
 
 
-def low_index_subgroups_coset_oracle(p, d, cap=10**6):
-    """Independent enumeration of index <= d subgroups as point stabilisers
-    of transitive permutation actions."""
-    if factorial(d) ** p.n > cap:
-        raise CapExceeded("coset-action oracle is too large")
-    found = {}
-    for k in range(1, d + 1):
-        perms = list(permutations(range(k)))
+def source_quotient_table(qmap, cap=10**6, verify=True):
+    """The table of source / kernel built by collecting in the source:
+    elements are the sorted canonical coset representatives, a product is
+    the source product reduced modulo the kernel.  Returns the table and
+    its projection from the source."""
+    src = qmap.source
+    ker = qmap.kernel
+    piv = ker.pivots
+    ranges = []
+    for d in range(src.n):
+        m = src.orders[d]
+        h = piv.get(d)
+        if h is None:
+            if m is None:
+                raise IndexInfinite("quotient is infinite")
+            ranges.append(m)
+        else:
+            ranges.append(h[d])
+    total = 1
+    for rr in ranges:
+        total *= rr
+    if total > cap:
+        raise CapExceeded(f"quotient order {total} exceeds cap {cap}")
+    elems = [()]
+    for rr in ranges:
+        elems = [e + (v,) for e in elems for v in range(rr)]
+    elems = sorted(set(ker.reduce(e) for e in elems))
+    if len(elems) != total:
+        raise RuntimeError("transversal enumeration mismatch")
 
-        def pmul(a, b):  # composition: apply b, then a
-            return tuple(a[b[i]] for i in range(k))
+    def mult_vec(a, b):
+        return ker.reduce(src.multiply(a, b))
 
-        def pinv(a):
-            out = [0] * k
-            for i, v in enumerate(a):
-                out[v] = i
-            return tuple(out)
+    def inv_vec(a):
+        return ker.reduce(src.invert(a))
 
-        def pword(images, vec):
-            out = tuple(range(k))
-            for i, e in enumerate(vec):
-                if e:
-                    base = images[i] if e > 0 else pinv(images[i])
-                    for _ in range(abs(e)):
-                        out = pmul(out, base)
-            return out
+    table = FiniteGroupTable(
+        elems,
+        mult_vec,
+        inv_fn=inv_vec,
+        identity_elem=src.identity(),
+        verify=verify,
+    )
+    return table, lambda x: table.index_of(ker.reduce(src.normal_form(x)))
 
-        for images in iproduct(perms, repeat=p.n):
-            ok = True
-            for (i, j), v in p.conj.items():
-                if pmul(pinv(images[i]), pmul(images[j], images[i])) != pword(images, v):
-                    ok = False
-                    break
-            if ok:
-                for i, m in enumerate(p.orders):
-                    if m is not None:
-                        acc = tuple(range(k))
-                        for _ in range(m):
-                            acc = pmul(acc, images[i])
-                        if acc != pword(images, p._power_tail(i)):
-                            ok = False
-                            break
-            if not ok:
-                continue
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                pt = frontier.pop()
-                for gperm in images:
-                    for im in (gperm[pt], pinv(gperm)[pt]):
-                        if im not in seen:
-                            seen.add(im)
-                            frontier.append(im)
-            if len(seen) != k:
-                continue
-            transversal = {0: p.identity()}
-            frontier = [0]
-            while frontier:
-                pt = frontier.pop()
-                for gi in range(p.n):
-                    for e in (1, -1):
-                        perm = images[gi] if e == 1 else pinv(images[gi])
-                        im = perm[pt]
-                        if im not in transversal:
-                            transversal[im] = p.multiply(
-                                p.power(p.gen(gi), e), transversal[pt]
-                            )
-                            frontier.append(im)
-            gens = []
-            for pt, t in transversal.items():
-                for gi in range(p.n):
-                    im = images[gi][pt]
-                    gens.append(
-                        p.multiply(
-                            p.invert(transversal[im]),
-                            p.multiply(p.gen(gi), t),
-                        )
-                    )
-            s = Subgroup(p, gens)
-            found.setdefault(s.gens, s)
-    return [found[key] for key in sorted(found)]
+
+def verbal_power_subgroup_by_closure(p, k, cap=10**6):
+    """G^k as the normal closure of the generators' k-th powers and the
+    k-th power of every coset representative of that closure."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    if k == 1:
+        return Subgroup(p, [p.gen(i) for i in range(p.n)])
+    h = Subgroup(p, [p.power(p.gen(i), k) for i in range(p.n)], normal_closure=True)
+    table, _ = source_quotient_table(QuotientMap(p, h, check_normal=False), cap=cap,
+                                     verify=False)
+    gens = list(h.gens)
+    for elem in table.elements:
+        gens.append(p.power(elem, k))
+    return Subgroup(p, gens, normal_closure=True)
 
 
 def regular_representation(table):

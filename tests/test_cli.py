@@ -296,3 +296,67 @@ def test_verify_rejects_a_witness_that_breaks_a_commuting_pair(tmp_path, capsys)
     code, out = run(["verify", str(report), "--json"], capsys)
     assert code == 1
     assert json.loads(out)["error"]["code"] == "verify"
+
+
+@pytest.fixture(scope="module")
+def refutation_report(tmp_path_factory):
+    """The report of H3, (z) vs (z^2), refuted in G/G^4."""
+    path = tmp_path_factory.mktemp("refutation")
+    instance = path / "instance.json"
+    instance.write_text(json.dumps({"group": PC, "s": [[[0, 0, 1]]], "t": [[[0, 0, 2]]]}))
+    report = path / "r.json"
+    assert main(["whitehead", str(instance), "--report", str(report)]) == 0
+    return json.loads(report.read_text())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("projected_s", [[[1, 1, 1]]]),
+        ("projected_t", [[[0, 1, 0]]]),
+        ("kernel_generators", [[9, 0, 0]]),
+        ("aut_order", 7),
+    ],
+)
+def test_verify_rejects_a_tampered_quotient_refutation(
+    field, value, refutation_report, tmp_path, capsys
+):
+    data = json.loads(json.dumps(refutation_report))
+    certificate = data["payload"]["result"]["certificate"]
+    assert certificate["kind"] == "quotient_refutation" and certificate[field] != value
+    certificate[field] = value
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
+
+
+# y^x = y z^-2, that is [x, y] = z^2
+H3SQ = H3.replace("y z", "y z^-2")
+
+
+def test_verify_rejects_a_tampered_final_survival_level(tmp_path, capsys):
+    path = tmp_path / "h3sq.pcp"
+    path.write_text(H3SQ)
+    report = tmp_path / "r.json"
+    code, _ = run(["separate-torsion", str(path), "--report", str(report)], capsys)
+    assert code == 0
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": "separate_torsion", "verified": True})
+    data = json.loads(report.read_text())
+    logged = data["payload"]["result"]["survival_log"][-1]["classes"][0]
+    assert logged["induced_images"] != [[0, 0, 0]] * 3
+    logged["induced_images"] = [[0, 0, 0]] * 3
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
+
+
+def test_quotient_cap_is_a_cap_error(tmp_path, capsys):
+    path = tmp_path / "h3sq.pcp"
+    path.write_text(H3SQ)
+    code, out = run(["separate-torsion", str(path), "--quotient-cap", "30", "--json"], capsys)
+    assert code == 1
+    assert out == '{"error": {"code": "cap", "message": "quotient order 216 exceeds cap 30"}}\n'

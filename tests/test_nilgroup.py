@@ -18,7 +18,6 @@ from nilcert.nilgroup import (
     inner_automorphism,
     intersect_finite_index,
     is_inner,
-    low_index_subgroups,
     lower_central_series,
     quotient_table,
     QuotientMap,
@@ -27,8 +26,6 @@ from nilcert.nilgroup import (
     upper_central_series,
     verbal_power_subgroup,
 )
-
-from oracles import low_index_subgroups_coset_oracle
 
 
 def heisenberg():
@@ -331,7 +328,7 @@ def test_quotient_map_to_free_abelian():
 def test_quotient_table_order_27():
     p = heisenberg()
     k = Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)], normal_closure=True)
-    t = quotient_table(p, k, check_normal=False)
+    t = quotient_table(p, k)
     assert t.order == 27
     # exponent 3 group: all non-identity elements have order 3
     assert {t.element_order(i) for i in range(t.order)} == {1, 3}
@@ -351,7 +348,7 @@ def test_quotient_table_order_27():
 def test_quotient_table_abelian():
     p = PcPresentation(["a", "b"], [None, None])
     k = Subgroup(p, [(3, 0), (0, 3)])
-    t = quotient_table(p, k, check_normal=False)
+    t = quotient_table(p, k)
     assert t.order == 9
     assert {t.element_order(i) for i in range(t.order)} == {1, 3}
 
@@ -574,45 +571,10 @@ def test_verbal_closure_cross_check():
     # the trivial subgroup, confirming that G^4 is exactly the kernel
     p = heisenberg()
     v4 = verbal_power_subgroup(p, 4)
-    t = quotient_table(p, v4, check_normal=False)
+    t = quotient_table(p, v4)
     assert t.order == 32
     idxs = [t.power(i, 4) for i in range(t.order)]
     assert len(t.closure(idxs)) == 1
-
-
-# ---------------------------------------------------------------------------
-# low index subgroups
-
-
-def test_low_index_counts():
-    z1 = PcPresentation(["a"], [None])
-    assert len(low_index_subgroups(z1, 3)) == 3
-    assert len(low_index_subgroups(z1, 4)) == 4
-    z2 = PcPresentation(["a", "b"], [None, None])
-    assert len(low_index_subgroups(z2, 2)) == 4
-    p = heisenberg()
-    assert len(low_index_subgroups(p, 2)) == 4
-    assert len(low_index_subgroups(p, 3)) == 8
-
-
-def test_low_index_against_coset_oracle():
-    cases = [
-        (PcPresentation(["a"], [None]), 4),
-        (PcPresentation(["a", "b"], [None, None]), 3),
-        (PcPresentation(["a", "t"], [None, 2]), 3),
-        (PcPresentation(["t"], [6]), 6),
-        (heisenberg(), 3),
-    ]
-    for p, d in cases:
-        fast = {s.gens for s in low_index_subgroups(p, d)}
-        slow = {s.gens for s in low_index_subgroups_coset_oracle(p, d)}
-        assert fast == slow
-
-
-def test_low_index_indices_are_correct():
-    p = heisenberg()
-    for s in low_index_subgroups(p, 3):
-        assert s.index_in_parent() <= 3
 
 
 # ---------------------------------------------------------------------------
