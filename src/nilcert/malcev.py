@@ -4,19 +4,21 @@ Upper unitriangular matrices over Q, the mutually inverse exp and log
 series between them and the strictly upper triangular matrices, matrix
 embeddings of torsion-free polycyclic groups, rational Lie algebra
 spans, and block-diagonal encodings of semidirect products.
+
+The embedding images are integral by construction, so once they are
+interpolated, the relation check and the injectivity scan run on tuples
+of int rows through a small integer unitriangular kernel (`_imul`,
+`_iinv`, `_ipow`); `QMatrix` stays the exact rational type of the API.
 """
 
+import math
 from fractions import Fraction
 
 from .nilgroup import lower_central_series, torsion_data
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class QMatrix:
@@ -67,7 +69,7 @@ class QMatrix:
         bt = tuple(zip(*other.entries)) if other.rows else ()
         return QMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in bt)
+                tuple(sum(a * b for a, b in zip(r, c) if a and b) for c in bt)
                 for r in self.entries
             ),
             cols=other.cols,
@@ -102,8 +104,9 @@ class QMatrix:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def inverse(self) -> "QMatrix":
@@ -311,11 +314,13 @@ def _elementary(n, i, j, value=1) -> QMatrix:
 
 
 class _RowDecoder:
-    """Reads the group coordinates back out of selected matrix rows;
-    the readout is the injectivity certificate for the embedding."""
+    """Reads the group coordinates back out of the columns `cols` of
+    the matrix rows `rows`; the readout is the injectivity certificate
+    for the embedding."""
 
-    def __init__(self, rows, fn):
+    def __init__(self, rows, cols, fn):
         self.rows = rows
+        self.cols = cols
         self.fn = fn
 
     def __call__(self, rowvals):
@@ -327,7 +332,7 @@ def _decoder_abelian(n):
         r0 = rowvals[0]
         return tuple(r0[i + 1] for i in range(n))
 
-    return _RowDecoder((0,), fn)
+    return _RowDecoder((0,), tuple(range(1, n + 1)), fn)
 
 
 def _decoder_heisenberg(sign, k):
@@ -339,7 +344,7 @@ def _decoder_heisenberg(sign, k):
             raise RuntimeError("embedding readout failed")
         return (a, kb // k, r0[2] - r0[1] * kb)
 
-    return _RowDecoder((0, 1), fn)
+    return _RowDecoder((0, 1), (1, 2), fn)
 
 
 def _curated_images(p):
@@ -428,46 +433,35 @@ def _regular_action_images(p, gamma, c):
     pts = basis  # integer interpolation nodes on the same staircase
     vand = QMatrix([[_eval_monomial(beta, pt) for beta in basis] for pt in pts])
     vinv = vand.inverse()
+    # den * vinv is an integer matrix, so interpolation is one integer
+    # matrix product per generator followed by a division by den
+    den = math.lcm(*(x.denominator for r in vinv.entries for x in r))
+    wint = [[int(x * den) for x in r] for r in vinv.entries]
     wdeg = [sum(e * w for e, w in zip(a, weights)) for a in basis]
     images = []
     for i in range(p.n):
         g = p.gen(i)
         moved = [p.multiply(pt, g) for pt in pts]
-        cols = []
-        for alpha in basis:
-            vals = QMatrix([[_eval_monomial(alpha, mv)] for mv in moved])
-            coeffs = vinv * vals
-            cols.append([coeffs[t, 0] for t in range(nb)])
-        mat = QMatrix([[cols[j][t] for j in range(nb)] for t in range(nb)])
+        vals = [[int(_eval_monomial(alpha, mv)) for alpha in basis] for mv in moved]
+        mat = [[Fraction(x, den) for x in r] for r in _imul(wint, vals)]
         for a in range(nb):
             for b in range(nb):
                 if a == b:
-                    if mat[a, b] != 1:
+                    if mat[a][b] != 1:
                         raise ValueError("action matrix is not unitriangular")
-                elif wdeg[a] >= wdeg[b] and mat[a, b] != 0:
+                elif wdeg[a] >= wdeg[b] and mat[a][b] != 0:
                     raise ValueError("action matrix is not unitriangular")
         images.append(mat)
     # clear denominators by conjugating with diag(d^degree)
-    d = 1
-    for mat in images:
-        for r in mat.entries:
-            for x in r:
-                d = d * x.denominator // _gcd(d, x.denominator)
-    if d > 1:
-        scale = [Fraction(d) ** w for w in wdeg]
-        images = [
-            QMatrix(
-                [
-                    [mat[a, b] * scale[b] / scale[a] for b in range(nb)]
-                    for a in range(nb)
-                ]
-            )
-            for mat in images
-        ]
+    d = math.lcm(*(x.denominator for mat in images for r in mat for x in r))
+    images = [
+        [[x * d ** (wdeg[b] - wdeg[a]) if x else x for b, x in enumerate(r)]
+         for a, r in enumerate(mat)]
+        for mat in images
+    ]
+    if any(x.denominator != 1 for mat in images for r in mat for x in r):
+        raise ValueError("denominator clearing failed")
     out = [UniTriangular(m) for m in images]
-    for m in out:
-        if not m.is_integral():
-            raise ValueError("denominator clearing failed")
     # the first row of the image of g carries g's coordinates in the
     # columns of the degree-one coordinate monomials, scaled by d^weight
     coord_cols = []
@@ -479,51 +473,94 @@ def _regular_action_images(p, gamma, c):
         r0 = rowvals[0]
         coords = []
         for colidx, sc in coord_cols:
-            v = Fraction(r0[colidx], sc)
-            if v.denominator != 1:
+            v, rem = divmod(r0[colidx], sc)
+            if rem:
                 raise RuntimeError("embedding readout failed")
-            coords.append(int(v))
+            coords.append(v)
         return tuple(coords)
 
-    return out, _RowDecoder((0,), fn)
+    return out, _RowDecoder((0,), tuple(col for col, _sc in coord_cols), fn)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+# integer unitriangular kernel: matrices are tuples of int row tuples
 
 
-def _image_of(images, vec) -> UniTriangular:
-    n = images[0].n
-    acc = UniTriangular.identity(n)
-    for img, e in zip(images, vec):
+def _int_rows(m: QMatrix) -> tuple:
+    """The rows of an integral matrix as int tuples; a non-integral
+    entry raises ValueError instead of being truncated."""
+    if any(x.denominator != 1 for r in m.entries for x in r):
+        raise ValueError("matrix has a non-integral entry")
+    return tuple(tuple(x.numerator for x in r) for r in m.entries)
+
+
+def _ieye(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _imul(a, b) -> tuple:
+    """Integer matrix product, skipping zero entries of both factors."""
+    out = []
+    for r in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(r, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _iinv(u) -> tuple:
+    """Inverse of an integer unitriangular matrix by back substitution:
+    row i of the inverse is e_i minus u[i][t] times its row t, t > i."""
+    n = len(u)
+    inv = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = [int(j == i) for j in range(n)]
+        for t in range(i + 1, n):
+            x = u[i][t]
+            if x:
+                for j in range(t, n):
+                    row[j] -= x * inv[t][j]
+        inv[i] = tuple(row)
+    return tuple(inv)
+
+
+def _ipow(m, e: int) -> tuple:
+    """m^e for an integer unitriangular m, by repeated squaring."""
+    if e < 0:
+        m, e = _iinv(m), -e
+    res = _ieye(len(m))
+    while e:
+        if e & 1:
+            res = _imul(res, m)
+        e >>= 1
         if e:
-            acc = acc * (img ** e)
-    return acc
+            m = _imul(m, m)
+    return res
 
 
 def _verify_relations(p, images):
-    inverses = [m.inverse() for m in images]
+    mats = [_int_rows(u.mat) for u in images]
+    inverses = [_iinv(m) for m in mats]
 
     def image_of(vec):
-        acc = UniTriangular.identity(images[0].n)
-        for idx, e in enumerate(vec):
-            if e > 0:
-                acc = acc * (images[idx] ** e)
-            elif e < 0:
-                acc = acc * (inverses[idx] ** (-e))
+        acc = _ieye(len(mats[0]))
+        for m, e in zip(mats, vec):
+            if e:
+                acc = _imul(acc, _ipow(m, e))
         return acc
 
     for i in range(p.n):
         for j in range(i + 1, p.n):
-            lhs = inverses[i] * images[j] * images[i]
+            lhs = _imul(_imul(inverses[i], mats[j]), mats[i])
             rhs = image_of(p._conj_image(i, j))
             if lhs != rhs:
                 raise RuntimeError(f"matrix images violate the conjugation relation ({i},{j})")
     for i in range(p.n):
         if p.orders[i] is not None:
-            lhs = images[i] ** p.orders[i]
+            lhs = _ipow(mats[i], p.orders[i])
             rhs = image_of(p._power_tail(i))
             if lhs != rhs:
                 raise RuntimeError(f"matrix images violate the power relation at {i}")
@@ -533,73 +570,59 @@ def _verify_box_injectivity(p, images, decoder, radius=3, box_cap=20000):
     """Certify injectivity on normal forms with exponents in
     [-radius, radius]: every box element must decode back to its own
     exponent vector, which separates all of them at once.  The scan is
-    exhaustive when the box is small and seeded-random otherwise."""
+    exhaustive when the box is small and seeded-random otherwise.
+
+    A box element's decoder rows are the unit rows pushed through the
+    generator powers in turn, each power held as sparse columns; the
+    last step of the exhaustive scan computes only the decoder's columns."""
     import random as _random
 
-    dim = images[0].n
-    integral = all(img.is_integral() for img in images)
+    exps = range(-radius, radius + 1)
+    columns = []  # per generator: exponent -> [(row, entry) nonzero] per column
+    for u in images:
+        m = _int_rows(u.mat)
+        columns.append({
+            e: [[(i, x) for i, x in enumerate(col) if x] for col in zip(*_ipow(m, e))]
+            for e in exps
+        })
+    every = range(images[0].n)
+
+    def push(rowvecs, depth, e, cols):
+        sparse = columns[depth][e]
+        return {
+            ri: {j: sum(v[i] * x for i, x in sparse[j]) for j in cols}
+            for ri, v in rowvecs.items()
+        }
 
     def decode_ok(rowvals, vec):
         if decoder(rowvals) != vec:
             raise RuntimeError(f"embedding readout disagrees at {vec}")
 
+    start = {ri: {j: int(j == ri) for j in every} for ri in decoder.rows}
     if (2 * radius + 1) ** p.n <= box_cap:
-        def _intify(m):
-            if integral:
-                return tuple(tuple(int(x) for x in r) for r in m.entries)
-            return m.entries
-
-        def _raw_mul(a, b):
-            return tuple(
-                tuple(sum(a[i][t] * b[t][j] for t in range(dim)) for j in range(dim))
-                for i in range(dim)
-            )
-
-        pows = []
-        eye = _intify(QMatrix.identity(dim))
-        for img in images:
-            fwd = _intify(img.mat)
-            bwd = _intify(img.inverse().mat)
-            by_exp = {0: eye}
-            for e in range(1, radius + 1):
-                by_exp[e] = _raw_mul(by_exp[e - 1], fwd)
-                by_exp[-e] = _raw_mul(by_exp[-(e - 1)], bwd)
-            pows.append(by_exp)
-        one = 1 if integral else Fraction(1)
-        zero = 0 if integral else Fraction(0)
-        start = {
-            ri: tuple(one if t == ri else zero for t in range(dim))
-            for ri in decoder.rows
-        }
-        rng_e = tuple(range(-radius, radius + 1))
-
         def rec(depth, rowvecs, prefix):
             if depth == p.n:
                 decode_ok(rowvecs, prefix)
                 return
-            for e in rng_e:
-                m = pows[depth][e]
-                moved = {
-                    ri: tuple(
-                        sum(v[i] * m[i][j] for i in range(dim)) for j in range(dim)
-                    )
-                    for ri, v in rowvecs.items()
-                }
-                rec(depth + 1, moved, prefix + (e,))
+            cols = decoder.cols if depth == p.n - 1 else every
+            for e in exps:
+                rec(depth + 1, push(rowvecs, depth, e, cols), prefix + (e,))
 
         rec(0, start, ())
         return
     rng = _random.Random(2)
     for _ in range(200):
         vec = tuple(rng.randint(-radius, radius) for _ in range(p.n))
-        m = _image_of(images, vec).mat
-        decode_ok({ri: m.row(ri) for ri in decoder.rows}, vec)
+        rowvecs = start
+        for depth, e in enumerate(vec):
+            rowvecs = push(rowvecs, depth, e, every)
+        decode_ok(rowvecs, vec)
 
 
 def embed_matrix_group(p, class_cap: int = 3):
     """Integral unitriangular images of the generators of a torsion-free
     polycyclic presentation; relations and test-box injectivity are
-    verified before returning."""
+    verified, in integer arithmetic, before returning."""
     td = torsion_data(p)
     if not td.tau.is_trivial():
         raise ValueError("group has torsion; no unitriangular embedding exists")

@@ -9,7 +9,7 @@ import itertools
 from itertools import product as iproduct
 
 from nilcert import whitehead
-from nilcert.malcev import QMatrix, SemidirectElement, semidirect_act
+from nilcert.malcev import QMatrix, SemidirectElement, UniTriangular, semidirect_act
 from nilcert.nilgroup import FiniteGroupTable, GroupHom, PcPresentation, QuotientMap, Subgroup
 from nilcert.outsep import out_finite
 from nilcert.zmod import CapExceeded, IndexInfinite
@@ -222,3 +222,32 @@ def table_isomorphisms(t1, t2):
         ):
             out.append(tuple(phi[x] for x in range(t1.order)))
     return out
+
+
+def verify_relations_in_fractions(p, images):
+    """The Mal'cev relation check in exact rational `UniTriangular`
+    products and inverses: every conjugation and power relation of `p`
+    must hold among the images, else RuntimeError."""
+    inverses = [m.inverse() for m in images]
+
+    def image_of(vec):
+        acc = UniTriangular.identity(images[0].n)
+        for idx, e in enumerate(vec):
+            if e > 0:
+                acc = acc * (images[idx] ** e)
+            elif e < 0:
+                acc = acc * (inverses[idx] ** (-e))
+        return acc
+
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            lhs = inverses[i] * images[j] * images[i]
+            rhs = image_of(p._conj_image(i, j))
+            if lhs != rhs:
+                raise RuntimeError(f"matrix images violate the conjugation relation ({i},{j})")
+    for i in range(p.n):
+        if p.orders[i] is not None:
+            lhs = images[i] ** p.orders[i]
+            rhs = image_of(p._power_tail(i))
+            if lhs != rhs:
+                raise RuntimeError(f"matrix images violate the power relation at {i}")

@@ -1,5 +1,6 @@
 """Command line round trips: run a subcommand with --report, then verify."""
 
+import hashlib
 import json
 
 import pytest
@@ -360,3 +361,101 @@ def test_quotient_cap_is_a_cap_error(tmp_path, capsys):
     code, out = run(["separate-torsion", str(path), "--quotient-cap", "30", "--json"], capsys)
     assert code == 1
     assert out == '{"error": {"code": "cap", "message": "quotient order 216 exceeds cap 30"}}\n'
+
+
+# ---------------------------------------------------------------------------
+# embed, expm and logm: pinned --json stdout, report -> verify, tampering
+# and input errors
+
+F4 = """\
+group F4
+gen a order inf
+gen b order inf
+gen c order inf
+gen d order inf
+conj b ^ a = b c
+conj c ^ a = c d
+"""
+
+# H3 with z of order 2
+Q = H3.replace("gen z order inf", "gen z order 2") + "pow z = 1\n"
+
+
+def embed_round_trip(text, tmp_path, capsys):
+    path = tmp_path / "g.pcp"
+    path.write_text(text)
+    report = tmp_path / "r.json"
+    code, out = run(["embed", str(path), "--json", "--report", str(report)], capsys)
+    assert code == 0
+    vcode, vout = run(["verify", str(report), "--json"], capsys)
+    assert (vcode, json.loads(vout)) == (0, {"kind": "embed", "verified": True})
+    return out, report
+
+
+def test_embed_h3sq_json_is_pinned_and_verifies(tmp_path, capsys):
+    out, _ = embed_round_trip(H3SQ, tmp_path, capsys)
+    assert out == (
+        '{"dimension": 3, "images": [[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+        '[["1", "0", "0"], ["0", "1", "2"], ["0", "0", "1"]], '
+        '[["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]]}\n'
+    )
+
+
+def test_embed_f4_json_is_pinned_and_verifies(tmp_path, capsys):
+    out, _ = embed_round_trip(F4, tmp_path, capsys)
+    # four 14 x 14 images from the regular action on polynomials; the
+    # digest pins every entry of the stdout
+    assert json.loads(out)["dimension"] == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "304cb837fbdaee314c5b0054072f0c0eccf75c57cf696a29f4827aa606eeb548"
+    )
+
+
+def test_verify_rejects_a_tampered_embedding_image(tmp_path, capsys):
+    _, report = embed_round_trip(F4, tmp_path, capsys)
+    data = json.loads(report.read_text())
+    row = data["payload"]["result"]["images"][1][0]
+    row[-1] = str(int(row[-1]) + 1)
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [(Q, []), (F4, ["--class-cap", "2"])],
+    ids=["torsion", "class-cap"],
+)
+def test_embed_input_errors_exit_1(text, extra, tmp_path, capsys):
+    path = tmp_path / "g.pcp"
+    path.write_text(text)
+    code, out = run(["embed", str(path), "--json"] + extra, capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "value"
+
+
+@pytest.mark.parametrize(
+    "command, entries, matrix",
+    [
+        ("expm", "0 1 0; 0 0 1; 0 0 0",
+         [["1", "1", "1/2"], ["0", "1", "1"], ["0", "0", "1"]]),
+        ("logm", "1 1 0; 0 1 1; 0 0 1",
+         [["0", "1", "-1/2"], ["0", "0", "1"], ["0", "0", "0"]]),
+    ],
+)
+def test_expm_logm_reports_verify_and_reject_tampering(
+    command, entries, matrix, tmp_path, capsys
+):
+    report = tmp_path / "r.json"
+    argv = [command, "--dim", "3", "--entries", entries, "--json", "--report", str(report)]
+    code, out = run(argv, capsys)
+    assert (code, json.loads(out)) == (0, {"matrix": matrix})
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": command, "verified": True})
+    data = json.loads(report.read_text())
+    data["payload"]["result"]["matrix"][0][2] = "7"
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
