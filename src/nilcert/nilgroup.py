@@ -49,6 +49,7 @@ from .zmod import (
     CapExceeded,
     IndexInfinite,
     IntMatrix,
+    hnf,
     saturation_basis,
     solve_integer,
     xgcd,
@@ -132,8 +133,11 @@ class PcPresentation:
                 self.powers[i] = v
         self.weights = self._compute_weights()
         self._cinv_cache = {}
+        self._conj_powers = {}
+        self._acting = frozenset(i for i, _j in self.conj)
         self._gamma_cache = None
         self._relations = None
+        self._hom_star_space = None
         if unit_diagonal:
             self.nilpotency_class = max(self.weights) if self.n else 1
             self._class_bound = self.nilpotency_class
@@ -254,33 +258,57 @@ class PcPresentation:
             f"conjugation by {self.names[i]} does not invert on {self.names[j]}"
         )
 
-    def _apply_conj_map(self, i, sign, x):
-        """Apply the generator-wise conjugation map (.)^{g_i^sign} to x in T_{>i}."""
+    def _conj_images(self, i, sign, level):
+        """Images of g_{i+1}, ..., g_n under (.)^{g_i^{sign 2^level}}, built
+        on first use from the level below and cached."""
+        key = (i, sign, level)
+        imgs = self._conj_powers.get(key)
+        if imgs is None:
+            if level == 0:
+                image = self._conj_image if sign > 0 else self._conj_inv_image
+                imgs = tuple(image(i, j) for j in range(i + 1, self.n))
+            else:
+                imgs = tuple(
+                    self._apply_conj_map(i, sign, y, level - 1)
+                    for y in self._conj_images(i, sign, level - 1)
+                )
+            self._conj_powers[key] = imgs
+        return imgs
+
+    def _apply_conj_map(self, i, sign, x, level=0):
+        """Apply the automorphism (.)^{g_i^{sign 2^level}} of T_{>i} to x in
+        T_{>i}, through its images of the generators g_j, j > i."""
         res = self.identity()
-        for j in range(i + 1, self.n):
-            if x[j]:
-                img = self._conj_image(i, j) if sign > 0 else self._conj_inv_image(i, j)
-                res = self.multiply(res, self.power(img, x[j]))
+        for img, e in zip(self._conj_images(i, sign, level), x[i + 1 :]):
+            if e:
+                res = self.multiply(res, self.power(img, e))
         return res
 
     def _conj_by_genpower(self, x, i, e):
-        """x^{g_i^e} for x supported strictly beyond i."""
-        if e == 0 or not any(x):
-            return x
-        if all((i, j) not in self.conj for j in range(i + 1, self.n)):
-            return x  # g_i commutes with all later generators
+        """x^{g_i^e} for x supported strictly beyond i.
+
+        The map (.)^{g_i^{+-2^k}} is applied once for each binary digit k
+        of |e|, so the cost grows with log |e|.  For g_i of finite order
+        m_i, e is first written q m_i + r with 0 <= r < m_i: the digits of
+        r are applied, then conjugation by g_i^{q m_i}, the q-th power of
+        the power tail."""
+        if e == 0 or i not in self._acting or not any(x):
+            return x  # or g_i commutes with every later generator
         m = self.orders[i]
+        q = 0
         if m is None:
-            sign = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                x = self._apply_conj_map(i, sign, x)
-            return x
-        q, r = divmod(e, m)
-        for _ in range(r):
-            x = self._apply_conj_map(i, +1, x)
+            sign, e = (1, e) if e > 0 else (-1, -e)
+        else:
+            sign = 1
+            q, e = divmod(e, m)
+        level = 0
+        while e:
+            if e & 1:
+                x = self._apply_conj_map(i, sign, x, level)
+            e >>= 1
+            level += 1
         if q:
-            t = self.power(self._power_tail(i), q)
-            x = self.conjugate(x, t)
+            x = self.conjugate(x, self.power(self._power_tail(i), q))
         return x
 
     def _push(self, nf, i, e):
@@ -413,7 +441,9 @@ class PcPresentation:
                 out.append(rng.randint(0, m - 1))
         return tuple(out)
 
-    def abelianization(self) -> AdaptedQuotient:
+    def abelian_relation_rows(self):
+        """The relations of G^ab = Z^n / rows, one per conjugation and power
+        relation, in normal-form exponent coordinates."""
         rows = []
         for (i, j), v in self.conj.items():
             rows.append(tuple(a - (1 if k == j else 0) for k, a in enumerate(v)))
@@ -421,7 +451,10 @@ class PcPresentation:
             if m is not None:
                 tail = self._power_tail(i)
                 rows.append(tuple((m if k == i else 0) - tail[k] for k in range(self.n)))
-        return AdaptedQuotient(self.n, rows)
+        return rows
+
+    def abelianization(self) -> AdaptedQuotient:
+        return AdaptedQuotient(self.n, self.abelian_relation_rows())
 
     def describe(self):
         lines = [
@@ -864,18 +897,24 @@ class QuotientMap:
         gens = [self.lift(g) for g in sub.gens] + list(self.kernel.gens)
         return Subgroup(self.source, gens)
 
-    def elements(self, cap=10**6):
-        """Every element of a finite target, as its normal forms in
-        lexicographic order; each one must come back from lift then
-        project unchanged.  The cap is checked against the product of the
-        relative orders before anything is enumerated."""
+    def order(self, cap=10**6):
+        """|target|, the product of its relative orders: IndexInfinite when
+        one is infinite, CapExceeded when the product exceeds the cap."""
         orders = self.target.orders
         if None in orders:
             raise IndexInfinite("quotient is infinite")
         total = math.prod(orders)
         if total > cap:
             raise CapExceeded(f"quotient order {total} exceeds cap {cap}")
-        elems = list(itertools.product(*(range(m) for m in orders)))
+        return total
+
+    def elements(self, cap=10**6):
+        """Every element of a finite target, as its normal forms in
+        lexicographic order; each one must come back from lift then
+        project unchanged.  The cap is checked against the product of the
+        relative orders before anything is enumerated."""
+        self.order(cap)
+        elems = list(itertools.product(*(range(m) for m in self.target.orders)))
         if any(self.project(self.lift(e)) != e for e in elems):
             raise RuntimeError("transversal enumeration mismatch")
         return elems
@@ -1430,7 +1469,7 @@ def _pc_isomorphisms(p, c, candidates):
 
     def extend(k):
         if k == p.n:
-            if Subgroup(c, images).is_whole_group():
+            if generates_abelianization(c, images):
                 yield tuple(images)
             return
         options = candidates[k]
@@ -1453,6 +1492,18 @@ def _pc_isomorphisms(p, c, candidates):
             images.pop()
 
     return extend(0)
+
+
+def generates_abelianization(c: PcPresentation, elements):
+    """Whether the elements generate c.  For a nilpotent c, H [c, c] = c
+    implies H = c, so they do exactly when their exponent vectors and the
+    relation rows of c^ab span Z^n: when the Hermite normal form of the
+    stacked rows is the identity on top."""
+    rows = [tuple(x) for x in elements] + c.abelian_relation_rows()
+    if len(rows) < c.n:
+        return False
+    h, _ = hnf(IntMatrix(rows, cols=c.n))
+    return all(h[i, i] == 1 for i in range(c.n))
 
 
 def _table_isomorphisms(d, c, candidates):
@@ -1615,10 +1666,17 @@ def torsion_data(p: PcPresentation, cap=10**6) -> TorsionData:
 
 
 def verbal_power_subgroup(p: PcPresentation, k: int, cap=10**6) -> Subgroup:
-    """G^k = <x^k : x in G>: the preimage of the subgroup that the k-th powers
-    generate in the finite quotient G/H, H the normal closure of the
-    generators' k-th powers, with the powers taken in G/H's own pc
-    presentation (CapExceeded when |G/H| > cap)."""
+    """G^k = <x^k : x in G>, the preimage of the subgroup that the k-th
+    powers generate in the finite quotient G/H, H the normal closure of
+    the generators' k-th powers (CapExceeded when |G/H| > cap).
+
+    G/H is finite nilpotent, so it is the direct product of its Sylow
+    subgroups P, and its k-th powers generate the product of the P^{p^v},
+    p^v the part of k at p.  P is generated by the e_p-th powers of the
+    generators, where e_p is 1 mod the p-part of |G/H| and 0 mod the rest:
+    x -> x^{e_p} is the projection onto P.  When p does not divide k, P
+    is its own factor; otherwise the k-th powers are taken over the
+    elements of P only, in G/H's own pc presentation."""
     if k < 1:
         raise ValueError("power must be >= 1")
     if k == 1:
@@ -1626,6 +1684,35 @@ def verbal_power_subgroup(p: PcPresentation, k: int, cap=10**6) -> Subgroup:
     h = Subgroup(p, [p.power(p.gen(i), k) for i in range(p.n)], normal_closure=True)
     qmap = QuotientMap(p, h, check_normal=False)
     q = qmap.target
-    # the k-th powers are a conjugation-invariant set, so they generate a
-    # normal subgroup of G/H, and its preimage is G^k
-    return qmap.preimage(Subgroup(q, [q.power(e, k) for e in qmap.elements(cap)]))
+    elems = qmap.elements(cap)
+    gens = []
+    for prime, part in _prime_powers(len(elems)):
+        rest = len(elems) // part
+        e = rest * pow(rest, -1, part)  # 1 mod part, 0 mod rest
+        sylow = [q.power(g, e) for g in q.generators()]
+        if k % prime:
+            gens.extend(sylow)
+        else:
+            # the elements of P: all of G/H when it is a p-group
+            members = elems if rest == 1 else Subgroup(q, sylow).elements(cap)
+            gens.extend(q.power(x, k) for x in members)
+    # each factor is characteristic in its Sylow subgroup, so they generate
+    # a normal subgroup of G/H, and its preimage is G^k
+    return qmap.preimage(Subgroup(q, gens))
+
+
+def _prime_powers(m):
+    """The pairs (p, p^v), p^v the largest power of the prime p dividing m,
+    in increasing order of p."""
+    out, d = [], 2
+    while m > 1:
+        if d * d > m:
+            d = m
+        if m % d == 0:
+            part = 1
+            while m % d == 0:
+                m //= d
+                part *= d
+            out.append((d, part))
+        d += 1
+    return out

@@ -20,7 +20,6 @@ carries enough data to be re-verified from scratch.
 
 import json
 import math
-import weakref
 
 from .zmod import (
     AdaptedQuotient,
@@ -37,12 +36,13 @@ from .nilgroup import (
     PcPresentation,
     QuotientMap,
     Subgroup,
+    center,
     identity_hom,
     inner_automorphism,
     intersect_finite_index,
     is_inner,
     isomorphisms,
-    quotient_table,
+    simultaneous_conjugator,
     upper_central_series,
     verbal_power_subgroup,
 )
@@ -75,15 +75,7 @@ class HomStarSpace:
         series = upper_central_series(p)
         self.nu1 = series[1]
         self.nu2 = series[2] if len(series) > 2 else series[-1]
-        rows = []
-        for (i, j), v in p.conj.items():
-            rows.append(tuple(a - (1 if k == j else 0) for k, a in enumerate(v)))
-        for i, m in enumerate(p.orders):
-            if m is not None:
-                tail = p._power_tail(i)
-                rows.append(tuple((m if k == i else 0) - tail[k] for k in range(p.n)))
-        for g in self.nu1.gens:
-            rows.append(tuple(g))
+        rows = p.abelian_relation_rows() + [tuple(g) for g in self.nu1.gens]
         self.cover = AdaptedQuotient(p.n, rows)
         pres, to_sub, from_sub = self.nu1.presentation()
         self._c_to = to_sub
@@ -145,15 +137,12 @@ class HomStarSpace:
         return self._assemble(crows)
 
 
-_SPACES = weakref.WeakKeyDictionary()
-
-
 def hom_star_space(p: PcPresentation) -> HomStarSpace:
-    space = _SPACES.get(p)
-    if space is None:
-        space = HomStarSpace(p)
-        _SPACES[p] = space
-    return space
+    """The space of p, built once and kept on p itself, so that it is
+    freed with p."""
+    if p._hom_star_space is None:
+        p._hom_star_space = HomStarSpace(p)
+    return p._hom_star_space
 
 
 class HomStar:
@@ -481,12 +470,19 @@ class SurvivalCheck:
 
 
 def survives(a: OuterAutoClass, p0: Subgroup, cap=10**6) -> SurvivalCheck:
-    """Whether the class stays non-inner in the quotient by p0.
+    """Whether the class stays non-inner in the quotient Q by p0.
 
     p0 must be normal, of finite index, and preserved by the
-    representative (re-checked on generators).  Innerness in the finite
-    quotient is decided by a complete scan over all candidate
-    conjugators, the same inner classification out_finite uses."""
+    representative (re-checked on generators).  The generators and their
+    images under the representative are projected into Q's own pc
+    presentation, and ``simultaneous_conjugator`` decides whether one
+    element of Q conjugates the first tuple onto the second.  The
+    projected generators generate Q, so the conjugators form one coset
+    Z(Q) g; the logged one is its lexicographically least normal form,
+    ``center(Q).reduce(g)``, the first one a scan over Q in order would
+    meet.  |Q| is the product of the relative orders, so no element of Q
+    is enumerated (IndexInfinite or CapExceeded as for a quotient
+    table)."""
     p = a.group
     if p0.parent is not p:
         raise ValueError("subgroup parent mismatch")
@@ -494,21 +490,15 @@ def survives(a: OuterAutoClass, p0: Subgroup, cap=10**6) -> SurvivalCheck:
     for g in p0.gens:
         if not p0.contains(rep.apply(g)):
             raise ValueError("subgroup is not preserved by the representative")
-    table = quotient_table(p, p0, cap=cap, verify=False)
-    gen_imgs = [table.project(p.gen(k)) for k in range(p.n)]
-    induced = [table.project(rep.apply(p.gen(k))) for k in range(p.n)]
-    conj = None
-    for c in range(table.order):
-        if all(table.conjugate(g, c) == im for g, im in zip(gen_imgs, induced)):
-            conj = c
-            break
-    lift = table.qmap.lift
-    return SurvivalCheck(
-        conj is None,
-        table.order,
-        [lift(table.elements[i]) for i in induced],
-        None if conj is None else lift(table.elements[conj]),
-    )
+    qmap = QuotientMap(p, p0)
+    order = qmap.order(cap)
+    q = qmap.target
+    gen_imgs = [qmap.project(p.gen(k)) for k in range(p.n)]
+    induced = [qmap.project(rep.apply(p.gen(k))) for k in range(p.n)]
+    conj = simultaneous_conjugator(q, gen_imgs, induced)
+    if conj is not None:
+        conj = qmap.lift(center(q).reduce(conj))
+    return SurvivalCheck(conj is None, order, [qmap.lift(x) for x in induced], conj)
 
 
 # ---------------------------------------------------------------------------

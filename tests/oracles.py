@@ -10,8 +10,15 @@ from itertools import product as iproduct
 
 from nilcert import whitehead
 from nilcert.malcev import QMatrix, SemidirectElement, UniTriangular, semidirect_act
-from nilcert.nilgroup import FiniteGroupTable, GroupHom, PcPresentation, QuotientMap, Subgroup
-from nilcert.outsep import out_finite
+from nilcert.nilgroup import (
+    FiniteGroupTable,
+    GroupHom,
+    PcPresentation,
+    QuotientMap,
+    Subgroup,
+    quotient_table,
+)
+from nilcert.outsep import SurvivalCheck, out_finite
 from nilcert.zmod import CapExceeded, IndexInfinite
 
 
@@ -251,3 +258,89 @@ def verify_relations_in_fractions(p, images):
             rhs = image_of(p._power_tail(i))
             if lhs != rhs:
                 raise RuntimeError(f"matrix images violate the power relation at {i}")
+
+
+class IterativeCollector(PcPresentation):
+    """The collector that conjugates by g_i^e by applying (.)^{g_i^{+-1}}
+    |e| times, one generator image at a time."""
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.names, p.orders, p.conj, p.conj_inv, p.powers)
+
+    def _apply_conj_map(self, i, sign, x):
+        """Apply the generator-wise conjugation map (.)^{g_i^sign} to x in T_{>i}."""
+        res = self.identity()
+        for j in range(i + 1, self.n):
+            if x[j]:
+                img = self._conj_image(i, j) if sign > 0 else self._conj_inv_image(i, j)
+                res = self.multiply(res, self.power(img, x[j]))
+        return res
+
+    def _conj_by_genpower(self, x, i, e):
+        """x^{g_i^e} for x supported strictly beyond i."""
+        if e == 0 or not any(x):
+            return x
+        if all((i, j) not in self.conj for j in range(i + 1, self.n)):
+            return x  # g_i commutes with all later generators
+        m = self.orders[i]
+        if m is None:
+            sign = 1 if e > 0 else -1
+            for _ in range(abs(e)):
+                x = self._apply_conj_map(i, sign, x)
+            return x
+        q, r = divmod(e, m)
+        for _ in range(r):
+            x = self._apply_conj_map(i, +1, x)
+        if q:
+            t = self.power(self._power_tail(i), q)
+            x = self.conjugate(x, t)
+        return x
+
+
+def survives_by_table_scan(a, p0, cap=10**6):
+    """Whether the class stays non-inner in the quotient by p0.
+
+    p0 must be normal, of finite index, and preserved by the
+    representative (re-checked on generators).  Innerness in the finite
+    quotient is decided by a complete scan over all candidate
+    conjugators, the same inner classification out_finite uses."""
+    p = a.group
+    if p0.parent is not p:
+        raise ValueError("subgroup parent mismatch")
+    rep = a.representative
+    for g in p0.gens:
+        if not p0.contains(rep.apply(g)):
+            raise ValueError("subgroup is not preserved by the representative")
+    table = quotient_table(p, p0, cap=cap, verify=False)
+    gen_imgs = [table.project(p.gen(k)) for k in range(p.n)]
+    induced = [table.project(rep.apply(p.gen(k))) for k in range(p.n)]
+    conj = None
+    for c in range(table.order):
+        if all(table.conjugate(g, c) == im for g, im in zip(gen_imgs, induced)):
+            conj = c
+            break
+    lift = table.qmap.lift
+    return SurvivalCheck(
+        conj is None,
+        table.order,
+        [lift(table.elements[i]) for i in induced],
+        None if conj is None else lift(table.elements[conj]),
+    )
+
+
+def verbal_power_subgroup_over_all_elements(p, k, cap=10**6):
+    """G^k = <x^k : x in G>: the preimage of the subgroup that the k-th powers
+    generate in the finite quotient G/H, H the normal closure of the
+    generators' k-th powers, with the powers taken in G/H's own pc
+    presentation (CapExceeded when |G/H| > cap)."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
+    if k == 1:
+        return Subgroup(p, [p.gen(i) for i in range(p.n)])
+    h = Subgroup(p, [p.power(p.gen(i), k) for i in range(p.n)], normal_closure=True)
+    qmap = QuotientMap(p, h, check_normal=False)
+    q = qmap.target
+    # the k-th powers are a conjugation-invariant set, so they generate a
+    # normal subgroup of G/H, and its preimage is G^k
+    return qmap.preimage(Subgroup(q, [q.power(e, k) for e in qmap.elements(cap)]))

@@ -355,12 +355,33 @@ def test_verify_rejects_a_tampered_final_survival_level(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "verify"
 
 
+M8 = MIXED.replace("group M", "group M8").replace("order 4", "order 8")
+
+
+def test_separate_torsion_m8_is_pinned_and_verifies(tmp_path, capsys):
+    # its chain reaches exponent 2520 = 3 lcm(1..8) at level 8
+    path = tmp_path / "m8.pcp"
+    path.write_text(M8)
+    report = tmp_path / "r.json"
+    code, out = run(["separate-torsion", str(path), "--json", "--report", str(report)], capsys)
+    assert code == 0
+    assert json.loads(out)["complete"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a9dc880feec96f018c4f9a4a7dba3a6d1fd5892986b168a8e56af4fb2f6b350b"
+    )
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": "separate_torsion", "verified": True})
+
+
 def test_quotient_cap_is_a_cap_error(tmp_path, capsys):
-    path = tmp_path / "h3sq.pcp"
-    path.write_text(H3SQ)
-    code, out = run(["separate-torsion", str(path), "--quotient-cap", "30", "--json"], capsys)
-    assert code == 1
-    assert out == '{"error": {"code": "cap", "message": "quotient order 216 exceeds cap 30"}}\n'
+    for name, text, order in [("h3sq", H3SQ, 216), ("m8", M8, 36)]:
+        path = tmp_path / f"{name}.pcp"
+        path.write_text(text)
+        code, out = run(["separate-torsion", str(path), "--quotient-cap", "30", "--json"], capsys)
+        assert code == 1
+        assert out == (
+            f'{{"error": {{"code": "cap", "message": "quotient order {order} exceeds cap 30"}}}}\n'
+        )
 
 
 # ---------------------------------------------------------------------------
