@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .formats import (
     FormatError,
-    GogFile,
     format_word,
     gog_from_data,
     group_from_spec,
@@ -54,6 +53,8 @@ from .whitehead import solve_whitehead, verify_quotient_refutation, verify_white
 from .zmod import CapExceeded, IndexInfinite
 
 DEFAULT_CAP = 10**6
+# the chain search wants more levels than the other bounded searches
+DEFAULT_CHAIN_LEVELS = 8
 
 
 class CliError(Exception):
@@ -226,32 +227,34 @@ def cmd_elusive(args):
     return result, payload, lines, 0, ["enumerated elusive outer classes"]
 
 
-def cmd_separate_torsion(args):
-    pcp = _read_pcp(args.pcp)
+def _separate_torsion_result(p, budget, cap):
+    """The separate-torsion result: the certificate's JSON, or an
+    Unknown result carrying the partial certificate when the chain
+    search runs out of levels."""
     try:
-        cert = separate_torsion(
-            pcp.presentation, max_levels=args.budget, cap=args.quotient_cap
-        )
+        cert = separate_torsion(p, max_levels=budget, cap=cap)
     except BudgetExhausted as ex:
         result = {"unknown": True, "reason": str(ex)}
         if ex.certificate is not None:
             result["partial"] = json.loads(ex.certificate.to_json())
-        payload = {
-            "kind": "separate_torsion",
-            "problem": {"group_pcp": serialize_pcp(pcp)},
-            "result": result,
-        }
-        return result, payload, [f"unknown: {ex}"], 2, ["budget exhausted"]
-    data = json.loads(cert.to_json())
-    result = data
-    payload = {
-        "kind": "separate_torsion",
-        "problem": {"group_pcp": serialize_pcp(pcp)},
-        "result": result,
+        return result
+    return json.loads(cert.to_json())
+
+
+def cmd_separate_torsion(args):
+    pcp = _read_pcp(args.pcp)
+    result = _separate_torsion_result(pcp.presentation, args.budget, args.quotient_cap)
+    problem = {
+        "group_pcp": serialize_pcp(pcp),
+        "budget": args.budget,
+        "quotient_cap": args.quotient_cap,
     }
+    payload = {"kind": "separate_torsion", "problem": problem, "result": result}
+    if result.get("unknown"):
+        return result, payload, [f"unknown: {result['reason']}"], 2, ["budget exhausted"]
     lines = [
-        f"index {data['subgroup_index']}",
-        f"generators {_format_tuples(data['subgroup_generators'])}",
+        f"index {result['subgroup_index']}",
+        f"generators {_format_tuples(result['subgroup_generators'])}",
     ]
     return result, payload, lines, 0, ["certificate verified during construction"]
 
@@ -445,12 +448,18 @@ def _verify_elusive(problem, result, transcript):
 def _verify_separate_torsion(problem, result, transcript):
     p = parse_pcp(problem["group_pcp"]).presentation
     if result.get("unknown"):
-        transcript.append("budget-exhausted run; partial data accepted unchecked")
-        return
-    if not result["complete"]:
-        transcript.append("incomplete certificate accepted unchecked")
+        fresh = _separate_torsion_result(
+            p,
+            problem.get("budget", DEFAULT_CHAIN_LEVELS),
+            problem.get("quotient_cap", DEFAULT_CAP),
+        )
+        if fresh != result:
+            raise VerifyFailure("budget exhaustion does not reproduce at the same budget")
+        transcript.append("budget exhaustion and partial certificate reproduced")
         return
     sub = Subgroup(p, [tuple(g) for g in result["subgroup_generators"]])
+    if sub.index_in_parent() != result["subgroup_index"]:
+        raise VerifyFailure("logged subgroup index does not recompute")
     cert = CongruenceCertificate(
         p,
         sub,
@@ -596,7 +605,13 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sp):
     sp.add_argument("--json", action="store_true", help="print the result as JSON")
     sp.add_argument("--report", metavar="FILE", help="write a full run report")
-    sp.add_argument("--budget", type=int, default=2, help="search budget")
+
+
+def _add_budget(sp, default=2):
+    sp.add_argument("--budget", type=int, default=default, help="search budget")
+
+
+def _add_quotient_cap(sp):
     sp.add_argument(
         "--quotient-cap",
         type=int,
@@ -620,6 +635,7 @@ def build_parser():
 
     sp = sub.add_parser("torsion", help="torsion subgroup and exponent")
     sp.add_argument("pcp")
+    _add_quotient_cap(sp)
     sp.set_defaults(fn=cmd_torsion)
 
     sp = sub.add_parser("elusive", help="elusive outer automorphism classes")
@@ -628,10 +644,14 @@ def build_parser():
 
     sp = sub.add_parser("separate-torsion", help="congruence separating torsion")
     sp.add_argument("pcp")
+    _add_budget(sp, DEFAULT_CHAIN_LEVELS)
+    _add_quotient_cap(sp)
     sp.set_defaults(fn=cmd_separate_torsion)
 
     sp = sub.add_parser("whitehead", help="mixed Whitehead instance from JSON")
     sp.add_argument("instance")
+    _add_budget(sp)
+    _add_quotient_cap(sp)
     sp.set_defaults(fn=cmd_whitehead)
 
     sp = sub.add_parser("gog-iso", help="graph-of-groups isomorphism")
@@ -639,6 +659,8 @@ def build_parser():
     sp.add_argument("second")
     sp.add_argument("--orbits", metavar="FILE",
                     help="JSON orbit lists per white vertex (default: identity)")
+    _add_budget(sp)
+    _add_quotient_cap(sp)
     sp.set_defaults(fn=cmd_gog_iso)
 
     sp = sub.add_parser("embed", help="unitriangular matrix embedding")
@@ -662,8 +684,6 @@ def build_parser():
 
     for sp in sub.choices.values():
         _add_common(sp)
-    # the chain search wants more levels than the other bounded searches
-    sub.choices["separate-torsion"].set_defaults(budget=8)
     return parser
 
 

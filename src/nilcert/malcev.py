@@ -1,9 +1,8 @@
 """Exact rational calculus for unipotent matrix groups.
 
 Upper unitriangular matrices over Q, the mutually inverse exp and log
-series between them and the strictly upper triangular matrices, matrix
-embeddings of torsion-free polycyclic groups, rational Lie algebra
-spans, and block-diagonal encodings of semidirect products.
+series between them and the strictly upper triangular matrices, and
+matrix embeddings of torsion-free polycyclic groups.
 
 The embedding images are integral by construction, so once they are
 interpolated, the relation check and the injectivity scan run on tuples
@@ -54,9 +53,6 @@ class QMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -135,11 +131,6 @@ class QMatrix:
                     a[i] = [x - f * y for x, y in zip(a[i], a[col])]
                     inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
         return QMatrix(inv)
-
-    def transpose(self) -> "QMatrix":
-        if not self.rows:
-            return QMatrix.zeros(self.cols, 0)
-        return QMatrix(tuple(zip(*self.entries)))
 
     def is_identity(self) -> bool:
         return self == QMatrix.identity(self.rows) if self.rows == self.cols else False
@@ -238,24 +229,6 @@ class StrictUpper:
     def n(self):
         return self.mat.rows
 
-    @classmethod
-    def zero(cls, n: int) -> "StrictUpper":
-        return cls(QMatrix.zeros(n, n))
-
-    def __add__(self, other):
-        return StrictUpper(self.mat + _as_qmatrix(other))
-
-    def __sub__(self, other):
-        return StrictUpper(self.mat - _as_qmatrix(other))
-
-    def scale(self, s) -> "StrictUpper":
-        return StrictUpper(self.mat * _frac(s))
-
-    def bracket(self, other) -> "StrictUpper":
-        """Lie bracket (u, v) = uv - vu."""
-        a, b = self.mat, _as_qmatrix(other)
-        return StrictUpper(a * b - b * a)
-
     def __eq__(self, other):
         return isinstance(other, StrictUpper) and self.mat == other.mat
 
@@ -267,9 +240,6 @@ class StrictUpper:
 
     def __getitem__(self, ij):
         return self.mat[ij]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.mat.entries for x in r)
 
 
 # ---------------------------------------------------------------------------
@@ -638,202 +608,3 @@ def embed_matrix_group(p, class_cap: int = 3):
     _verify_relations(p, images)
     _verify_box_injectivity(p, images, decoder)
     return images
-
-
-# ---------------------------------------------------------------------------
-# rational Lie algebra spans
-
-
-class QLieAlgebra:
-    """A bracket-closed rational subalgebra of the strictly upper
-    triangular matrices, with an echelonized basis."""
-
-    def __init__(self, n, basis, echelon):
-        self.n = n
-        self.basis = basis
-        self._echelon = echelon  # list of (pivot position, flat vector)
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def coords(self, m):
-        """Coordinates of a strictly upper matrix over the basis, or None."""
-        vec = list(_flatten_strict(StrictUpper(m).mat))
-        coeffs = [Fraction(0)] * len(self._echelon)
-        for idx, (pos, row) in enumerate(self._echelon):
-            if vec[pos]:
-                f = vec[pos]
-                coeffs[idx] = f
-                vec = [a - f * b for a, b in zip(vec, row)]
-        if any(vec):
-            return None
-        return tuple(coeffs)
-
-    def structure_constants(self):
-        """c[i][j] = coordinates of [b_i, b_j]; raises if not closed."""
-        out = {}
-        for i, bi in enumerate(self.basis):
-            for j, bj in enumerate(self.basis):
-                c = self.coords(bi.bracket(bj))
-                if c is None:
-                    raise RuntimeError("basis is not bracket-closed")
-                out[(i, j)] = c
-        return out
-
-    def verify_closure(self) -> bool:
-        self.structure_constants()
-        return True
-
-
-def _flatten_strict(m: QMatrix):
-    n = m.rows
-    return tuple(m[i, j] for i in range(n) for j in range(i + 1, n))
-
-
-def _unflatten_strict(vec, n) -> QMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    it = iter(vec)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = next(it)
-    return QMatrix(rows)
-
-
-def qlie_span(images) -> QLieAlgebra:
-    """Smallest rational Lie algebra containing the logs of the given
-    unitriangular matrices, closed under bracket by iteration."""
-    mats = [UniTriangular(_as_qmatrix(u)) for u in images]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].n
-    echelon = []  # (pivot, normalized flat vector), pivots increasing
-
-    def insert(vec):
-        vec = list(vec)
-        for pos, row in echelon:
-            if vec[pos]:
-                f = vec[pos]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        for pos in range(len(vec)):
-            if vec[pos]:
-                s = vec[pos]
-                vec = [a / s for a in vec]
-                echelon.append((pos, tuple(vec)))
-                echelon.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    members = []
-    for u in mats:
-        v = _flatten_strict(logm(u).mat)
-        if insert(v):
-            members.append(v)
-    changed = True
-    while changed:
-        changed = False
-        basis_now = [_unflatten_strict(row, n) for _pos, row in echelon]
-        for a in basis_now:
-            for b in basis_now:
-                br = a * b - b * a
-                if insert(_flatten_strict(br)):
-                    changed = True
-    basis = [StrictUpper(_unflatten_strict(row, n)) for _pos, row in echelon]
-    alg = QLieAlgebra(n, basis, [(pos, row) for pos, row in echelon])
-    alg.verify_closure()
-    return alg
-
-
-# ---------------------------------------------------------------------------
-# semidirect block encoding
-
-
-class SemidirectElement:
-    """Pair (k; h_1..h_r) standing for the block matrix diag(k, kh_1, ..., kh_r)."""
-
-    __slots__ = ("k", "hs")
-
-    def __init__(self, k, hs):
-        self.k = _as_qmatrix(k)
-        self.hs = tuple(_as_qmatrix(h) for h in hs)
-        n = self.k.rows
-        if self.k.cols != n:
-            raise ValueError("k block is not square")
-        for h in self.hs:
-            if h.rows != n or h.cols != n:
-                raise ValueError("h block dimension mismatch")
-
-    @property
-    def n(self):
-        return self.k.rows
-
-    @property
-    def r(self):
-        return len(self.hs)
-
-    def materialize(self) -> QMatrix:
-        """The concrete (r+1)n x (r+1)n block-diagonal matrix."""
-        n = self.n
-        blocks = [self.k] + [self.k * h for h in self.hs]
-        size = n * len(blocks)
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for bi, blk in enumerate(blocks):
-            for i in range(n):
-                for j in range(n):
-                    rows[bi * n + i][bi * n + j] = blk[i, j]
-        return QMatrix(rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemidirectElement)
-            and self.k == other.k
-            and self.hs == other.hs
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.hs))
-
-    def __repr__(self):
-        return f"SemidirectElement(n={self.n}, r={self.r})"
-
-
-def semidirect_encode(k, hs) -> SemidirectElement:
-    return SemidirectElement(k, hs)
-
-
-def semidirect_identity(n: int, r: int) -> SemidirectElement:
-    eye = QMatrix.identity(n)
-    return SemidirectElement(eye, [eye] * r)
-
-
-def semidirect_multiply(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
-    """(k1; h) * (k2; h') = (k1 k2; phi^-1_{k2}(h_i) h'_i) with
-    phi_k(h) = k h k^-1, matching the block matrix product."""
-    if a.n != b.n or a.r != b.r:
-        raise ValueError("dimension mismatch")
-    k2inv = b.k.inverse()
-    hs = [k2inv * h * b.k * h2 for h, h2 in zip(a.hs, b.hs)]
-    return SemidirectElement(a.k * b.k, hs)
-
-
-def semidirect_inverse(a: SemidirectElement) -> SemidirectElement:
-    kinv = a.k.inverse()
-    hs = [a.k * h.inverse() * kinv for h in a.hs]
-    return SemidirectElement(kinv, hs)
-
-
-def semidirect_act(point, g: SemidirectElement):
-    """Right action on tuples of tuples of matrices: the i-th tuple is
-    conjugated entrywise by k and then by the i-th h block."""
-    if len(point) != g.r:
-        raise ValueError("point has wrong number of blocks")
-    kinv = g.k.inverse()
-    out = []
-    for tup, h in zip(point, g.hs):
-        hinv = h.inverse()
-        moved = tuple(hinv * kinv * _as_qmatrix(x) * g.k * h for x in tup)
-        for x in moved:
-            if x.rows != g.n:
-                raise ValueError("point entry dimension mismatch")
-        out.append(moved)
-    return out

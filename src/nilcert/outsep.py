@@ -38,7 +38,6 @@ from .nilgroup import (
     Subgroup,
     center,
     identity_hom,
-    inner_automorphism,
     intersect_finite_index,
     is_inner,
     isomorphisms,
@@ -548,7 +547,11 @@ class CongruenceCertificate:
         any mismatch."""
         p = self.group
         sub = self.subgroup
+        if not self.complete:
+            raise RuntimeError("certificate is marked incomplete")
         sub.index_in_parent()
+        if self.chain and sub != Subgroup(p, [tuple(g) for g in self.chain[-1]["generators"]]):
+            raise RuntimeError("certificate subgroup is not the last subgroup of its chain")
         if not sub.is_normal():
             raise RuntimeError("certificate subgroup is not normal")
         if self.base_case:

@@ -14,10 +14,6 @@ that interleaves a lexicographic witness sweep with refutation in a
 family of verbal-power quotients; it can return Unknown.
 ``solve_whitehead`` and ``verify_whitehead_witness`` pick the solver and
 the witness verifier for the kind of the parent group.
-
-The orbit encoding re-expresses an instance as two points in a space of
-matrix tuples acted on from the right by block elements (k; h_1..h_r),
-which is the form a linear orbit solver consumes.
 """
 
 import itertools
@@ -42,13 +38,6 @@ from .nilgroup import (
     serialize_element,
     simultaneous_conjugator,
     verbal_power_subgroup,
-)
-from .malcev import (
-    QMatrix,
-    SemidirectElement,
-    UniTriangular,
-    embed_matrix_group,
-    semidirect_act,
 )
 
 EQUIVALENT = "equivalent"
@@ -698,62 +687,3 @@ def verify_whitehead_witness(group, s, t, witness) -> bool:
     if isinstance(group, FiniteGroupTable):
         return verify_finite_witness(group, s, t, witness)
     return verify_nilpotent_witness(group, s, t, witness)
-
-
-# ---------------------------------------------------------------------------
-# orbit encoding
-
-
-class OrbitInstance:
-    """Matrix-orbit form of a Whitehead instance.
-
-    Two points, each a tuple of matrix tuples, acted on from the right
-    by block elements (k; h_1..h_r): every entry of the i-th tuple is
-    conjugated by k and then by h_i.  Equivalence of the abstract
-    instance matches orbit membership whenever k ranges over matrices
-    realizing the automorphisms and the h_i over the embedded group.
-    """
-
-    def __init__(self, block_size, s_point, t_point, generator_matrices):
-        self.block_size = block_size
-        self.s_point = tuple(tuple(x) for x in s_point)
-        self.t_point = tuple(tuple(x) for x in t_point)
-        self.generator_matrices = tuple(generator_matrices)
-
-    @property
-    def r(self):
-        return len(self.s_point)
-
-    def coincident(self) -> bool:
-        return self.s_point == self.t_point
-
-    def act(self, point, g: SemidirectElement):
-        return tuple(tuple(t) for t in semidirect_act(list(point), g))
-
-    def __repr__(self):
-        return f"OrbitInstance(n={self.block_size}, r={self.r})"
-
-
-def _matrix_image(images, vec) -> QMatrix:
-    acc = UniTriangular.identity(images[0].n)
-    for img, e in zip(images, vec):
-        if e:
-            acc = acc * (img ** e)
-    return acc.mat
-
-
-def orbit_encoding(p: PcPresentation, s, t) -> OrbitInstance:
-    """Encode a nilpotent instance as two points in a space of matrix
-    tuples; requires the exact unitriangular embedding to exist."""
-    s = tuple_system(p, s)
-    t = tuple_system(p, t)
-    _check_shapes(s, t)
-    images = embed_matrix_group(p)
-    s_point = [
-        tuple(_matrix_image(images, x) for x in tup) for tup in s.tuples
-    ]
-    t_point = [
-        tuple(_matrix_image(images, x) for x in tup) for tup in t.tuples
-    ]
-    return OrbitInstance(images[0].n, s_point, t_point,
-                         [img.mat for img in images])

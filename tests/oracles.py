@@ -9,7 +9,7 @@ import itertools
 from itertools import product as iproduct
 
 from nilcert import whitehead
-from nilcert.malcev import QMatrix, SemidirectElement, UniTriangular, semidirect_act
+from nilcert.malcev import QMatrix, UniTriangular
 from nilcert.nilgroup import (
     FiniteGroupTable,
     GroupHom,
@@ -112,10 +112,31 @@ def regular_representation(table):
     return out
 
 
+def block_act(point, k, hs):
+    """Right action of the block element (k; h_1..h_r) on a tuple of
+    matrix tuples: every entry of the i-th tuple is conjugated by k and
+    then by h_i."""
+    n = k.rows
+    if k.cols != n or any((h.rows, h.cols) != (n, n) for h in hs):
+        raise ValueError("block dimension mismatch")
+    if len(point) != len(hs):
+        raise ValueError("point has wrong number of blocks")
+    kinv = k.inverse()
+    out = []
+    for tup, h in zip(point, hs):
+        hinv = h.inverse()
+        moved = tuple(hinv * kinv * x * k * h for x in tup)
+        if any(x.rows != n for x in moved):
+            raise ValueError("point entry dimension mismatch")
+        out.append(moved)
+    return out
+
+
 def orbit_matches_finite(table, s, t, cap=512):
     """Brute-force orbit membership for a finite instance under the
     block action, with k over automorphism permutation matrices and the
-    h blocks over the regular representation.  Returns (found, element).
+    h blocks over the regular representation.  Returns (found, element),
+    the element as the pair (k, [h_1..h_r]).
 
     Dual to `whitehead_finite`: the two must agree on every instance.
     The action is componentwise per tuple, so the conjugator blocks are
@@ -153,10 +174,10 @@ def orbit_matches_finite(table, s, t, cap=512):
                 break
             conj.append(c)
         else:
-            g = SemidirectElement(perm, [rho[c] for c in conj])
-            if [tuple(x) for x in semidirect_act(s_point, g)] != list(t_point):
+            hs = [rho[c] for c in conj]
+            if block_act(s_point, perm, hs) != list(t_point):
                 raise RuntimeError("orbit element fails the block action law")
-            return True, g
+            return True, (perm, hs)
     return False, None
 
 

@@ -250,6 +250,27 @@ def test_gog_iso_nilpotent_black_report_verifies(
     assert (code, json.loads(out)) == (0, {"kind": "gog_iso", "verified": True})
 
 
+def test_gog_iso_unknown_exits_2(tmp_path, capsys):
+    paths = []
+    for name, image in (("x1", [0, 0, 5]), ("x2", [0, 0, 1])):
+        path = tmp_path / f"{name}.gog"
+        path.write_text(json.dumps(nilpotent_segment_gog(image)))
+        paths.append(str(path))
+    report = str(tmp_path / "r.json")
+    code, out = run(["gog-iso", *paths, "--budget", "1", "--json", "--report", report], capsys)
+    assert code == 2
+    assert out == (
+        '{"kind": "unknown", "report": {"branches": [{"graph_map": 0, "orbit_choice": [0], '
+        '"report": {"budget": 1, "quotients": [{"exponent": 2, "outcome": "images '
+        'equivalent in the quotient", "quotient_order": 4}, {"exponent": 3, "outcome": '
+        '"images equivalent in the quotient", "quotient_order": 27}], '
+        '"witness_boxes_swept": [1]}, "stage": "black vertex", "status": "unknown", '
+        '"vertex": "b"}], "budget": 1}}\n'
+    )
+    code, out = run(["verify", report, "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": "gog_iso", "verified": True})
+
+
 def test_verify_infinite_index_subgroup_is_a_verify_error(tmp_path, capsys):
     path = tmp_path / "h.pcp"
     path.write_text(H3)
@@ -277,6 +298,21 @@ def test_report_with_a_seed_key_verifies(mixed_pcp, tmp_path, capsys):
 
 def test_seed_option_is_gone(mixed_pcp, capsys):
     code, out = run(["nf", mixed_pcp, "b", "--seed", "3", "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "{pcp}", "b", "--budget", "3"],
+        ["ucs", "{pcp}", "--quotient-cap", "30"],
+        ["torsion", "{pcp}", "--budget", "3"],
+    ],
+    ids=["nf-budget", "ucs-quotient-cap", "torsion-budget"],
+)
+def test_options_a_subcommand_ignores_are_usage_errors(argv, mixed_pcp, capsys):
+    code, out = run([a.format(pcp=mixed_pcp) for a in argv] + ["--json"], capsys)
     assert code == 1
     assert json.loads(out)["error"]["code"] == "usage"
 
@@ -355,6 +391,51 @@ def test_verify_rejects_a_tampered_final_survival_level(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "verify"
 
 
+def separate_torsion_report(text, extra, tmp_path, capsys):
+    path = tmp_path / "g.pcp"
+    path.write_text(text)
+    report = tmp_path / "r.json"
+    code, out = run(["separate-torsion", str(path), "--json", "--report", str(report)] + extra,
+                    capsys)
+    return code, json.loads(out), report
+
+
+def test_separate_torsion_unknown_exits_2_and_verifies(tmp_path, capsys):
+    code, out, report = separate_torsion_report(H3SQ, ["--budget", "1"], tmp_path, capsys)
+    assert code == 2
+    assert out["unknown"] is True and out["partial"]["complete"] is False
+    problem = json.loads(report.read_text())["payload"]["problem"]
+    assert (problem["budget"], problem["quotient_cap"]) == (1, 10**6)
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert (code, json.loads(out)) == (0, {"kind": "separate_torsion", "verified": True})
+
+
+def _mark_incomplete_whole_group(result):
+    result["complete"] = False
+    result["subgroup_generators"] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    return result
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _mark_incomplete_whole_group,
+        lambda result: {"unknown": True, "reason": "made up"},
+        lambda result: dict(result, subgroup_index=9),
+    ],
+    ids=["incomplete-whole-group", "made-up-unknown", "index"],
+)
+def test_verify_rejects_an_edited_separate_torsion_report(edit, tmp_path, capsys):
+    code, _, report = separate_torsion_report(H3, [], tmp_path, capsys)
+    assert code == 0
+    data = json.loads(report.read_text())
+    data["payload"]["result"] = edit(data["payload"]["result"])
+    report.write_text(json.dumps(data))
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
+
+
 M8 = MIXED.replace("group M", "group M8").replace("order 4", "order 8")
 
 
@@ -382,6 +463,54 @@ def test_quotient_cap_is_a_cap_error(tmp_path, capsys):
         assert out == (
             f'{{"error": {{"code": "cap", "message": "quotient order {order} exceeds cap 30"}}}}\n'
         )
+
+
+# ---------------------------------------------------------------------------
+# ucs and elusive: pinned --json stdout, report -> verify, tampering
+
+
+def verified_report(argv, kind, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code, out = run(argv + ["--json", "--report", str(report)], capsys)
+    assert code == 0
+    vcode, vout = run(["verify", str(report), "--json"], capsys)
+    assert (vcode, json.loads(vout)) == (0, {"kind": kind, "verified": True})
+    return out, report
+
+
+def assert_verify_rejects(report, capsys):
+    code, out = run(["verify", str(report), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verify"
+
+
+def test_ucs_h3_json_is_pinned_and_verifies(tmp_path, capsys):
+    path = tmp_path / "h3.pcp"
+    path.write_text(H3)
+    out, report = verified_report(["ucs", str(path)], "ucs", tmp_path, capsys)
+    assert out == '{"series": [[], [[0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}\n'
+    data = json.loads(report.read_text())
+    data["payload"]["result"]["series"][1] = [[0, 0, 2]]
+    report.write_text(json.dumps(data))
+    assert_verify_rejects(report, capsys)
+
+
+def test_elusive_h3sq_json_is_pinned_and_verifies(tmp_path, capsys):
+    path = tmp_path / "h3sq.pcp"
+    path.write_text(H3SQ)
+    out, report = verified_report(["elusive", str(path)], "elusive", tmp_path, capsys)
+    assert out == (
+        '{"elusive": [{"coset": [0, 1], "outer_order": 2, "power_conjugator": [0, 1, 0], '
+        '"representative_images": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}, {"coset": [1, 0], '
+        '"outer_order": 2, "power_conjugator": [-1, 0, 0], "representative_images": '
+        '[[1, 0, 0], [0, 1, 1], [0, 0, 1]]}, {"coset": [1, 1], "outer_order": 2, '
+        '"power_conjugator": [-1, 1, 0], "representative_images": [[1, 0, 1], [0, 1, 1], '
+        '[0, 0, 1]]}]}\n'
+    )
+    data = json.loads(report.read_text())
+    data["payload"]["result"]["elusive"][0]["representative_images"][0] = [1, 0, 2]
+    report.write_text(json.dumps(data))
+    assert_verify_rejects(report, capsys)
 
 
 # ---------------------------------------------------------------------------

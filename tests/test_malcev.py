@@ -1,4 +1,4 @@
-"""Tests for exact unitriangular calculus, embeddings and block encodings."""
+"""Tests for exact unitriangular calculus and matrix embeddings."""
 
 import random
 from fractions import Fraction
@@ -24,12 +24,6 @@ from nilcert.malcev import (
     logm,
     matrix_from_json,
     matrix_to_json,
-    qlie_span,
-    semidirect_act,
-    semidirect_encode,
-    semidirect_identity,
-    semidirect_inverse,
-    semidirect_multiply,
 )
 from nilcert.nilgroup import PcPresentation, lower_central_series
 from oracles import verify_relations_in_fractions
@@ -337,114 +331,3 @@ def test_box_scan_rejects_swapped_images(text):
     images[0], images[1] = images[1], images[0]
     with pytest.raises(RuntimeError):
         _verify_box_injectivity(p, images, decoder)
-
-
-# ---------------------------------------------------------------------------
-# rational Lie algebra spans
-
-
-def test_qlie_span_heisenberg():
-    images = embed_matrix_group(heisenberg())
-    alg = qlie_span(images[:2])  # generators only; the bracket closes the span
-    assert alg.dimension == 3
-    e12 = StrictUpper(QMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-    e23 = StrictUpper(QMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
-    e13 = StrictUpper(QMatrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))
-    c12 = alg.coords(e12)
-    c23 = alg.coords(e23)
-    c13 = alg.coords(e13)
-    assert None not in (c12, c23, c13)
-    assert alg.coords(e12.bracket(e23)) == c13
-    assert alg.verify_closure()
-
-
-def test_qlie_span_abelian():
-    z2 = embed_matrix_group(PcPresentation(["a", "b"], [None, None]))
-    alg = qlie_span(z2)
-    assert alg.dimension == 2
-    assert all(all(c == 0 for c in v) for v in alg.structure_constants().values())
-    single = qlie_span([z2[0]])
-    assert single.dimension == 1
-
-
-def test_qlie_coords_rejects_outside():
-    images = embed_matrix_group(PcPresentation(["a", "b"], [None, None]))
-    alg = qlie_span(images)
-    outside = StrictUpper(QMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
-    assert alg.coords(outside) is None
-
-
-# ---------------------------------------------------------------------------
-# semidirect encoding
-
-
-def test_semidirect_product_matches_blocks():
-    rng = random.Random(23)
-    for _ in range(60):
-        a = semidirect_encode(
-            random_unitriangular(rng, 3),
-            [random_unitriangular(rng, 3), random_unitriangular(rng, 3)],
-        )
-        b = semidirect_encode(
-            random_unitriangular(rng, 3),
-            [random_unitriangular(rng, 3), random_unitriangular(rng, 3)],
-        )
-        ab = semidirect_multiply(a, b)
-        assert a.materialize() * b.materialize() == ab.materialize()
-
-
-def test_semidirect_action_law():
-    rng = random.Random(31)
-    for _ in range(60):
-        a = semidirect_encode(
-            random_unitriangular(rng, 3),
-            [random_unitriangular(rng, 3), random_unitriangular(rng, 3)],
-        )
-        b = semidirect_encode(
-            random_unitriangular(rng, 3),
-            [random_unitriangular(rng, 3), random_unitriangular(rng, 3)],
-        )
-        pt = [
-            (random_unitriangular(rng, 3), random_unitriangular(rng, 3)),
-            (random_unitriangular(rng, 3),),
-        ]
-        lhs = semidirect_act(semidirect_act(pt, a), b)
-        rhs = semidirect_act(pt, semidirect_multiply(a, b))
-        assert all(tuple(x) == tuple(y) for x, y in zip(lhs, rhs))
-
-
-def test_semidirect_identity_and_inverse():
-    rng = random.Random(37)
-    e = semidirect_identity(3, 2)
-    assert e.materialize().is_identity()
-    pt = [
-        (random_unitriangular(rng, 3), random_unitriangular(rng, 3)),
-        (random_unitriangular(rng, 3),),
-    ]
-    moved = semidirect_act(pt, e)
-    assert all(tuple(x) == tuple(y) for x, y in zip(moved, pt))
-    a = semidirect_encode(
-        random_unitriangular(rng, 3),
-        [random_unitriangular(rng, 3), random_unitriangular(rng, 3)],
-    )
-    assert semidirect_multiply(a, semidirect_inverse(a)).materialize().is_identity()
-
-
-def test_semidirect_conjugation_only():
-    # with k = I each tuple moves by its own conjugator
-    rng = random.Random(41)
-    h1, h2 = random_unitriangular(rng, 3), random_unitriangular(rng, 3)
-    g = semidirect_encode(QMatrix.identity(3), [h1, h2])
-    p1, p2 = random_unitriangular(rng, 3), random_unitriangular(rng, 3)
-    out = semidirect_act([(p1,), (p2,)], g)
-    assert out[0][0] == h1.inverse() * p1 * h1
-    assert out[1][0] == h2.inverse() * p2 * h2
-
-
-def test_semidirect_shape_errors():
-    a = semidirect_encode(QMatrix.identity(3), [QMatrix.identity(3)])
-    b = semidirect_encode(QMatrix.identity(3), [QMatrix.identity(3), QMatrix.identity(3)])
-    with pytest.raises(ValueError):
-        semidirect_multiply(a, b)
-    with pytest.raises(ValueError):
-        semidirect_act([(QMatrix.identity(3),)], b)

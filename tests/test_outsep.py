@@ -452,6 +452,19 @@ def test_separate_torsion_budget_exhaustion():
     assert len(partial.survival_log) == 2
 
 
+def test_certificate_verify_rejects_a_subgroup_off_its_chain():
+    p = heisenberg()
+    cert = separate_torsion(p)
+    whole = Subgroup(p, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    tampered = CongruenceCertificate(p, whole, False, cert.chain, [], [])
+    with pytest.raises(RuntimeError, match="last subgroup of its chain"):
+        tampered.verify()
+    incomplete = CongruenceCertificate(p, cert.subgroup, False, cert.chain, [], [],
+                                       complete=False)
+    with pytest.raises(RuntimeError, match="marked incomplete"):
+        incomplete.verify()
+
+
 def test_certificate_verify_rejects_shallow_subgroup():
     h2 = heisenberg(2)
     cert = separate_torsion(h2)

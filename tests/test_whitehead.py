@@ -4,16 +4,13 @@ import random
 
 import pytest
 
-from nilcert.malcev import QMatrix, SemidirectElement, embed_matrix_group
 from nilcert.nilgroup import PcPresentation, Subgroup, quotient_table
 from nilcert.whitehead import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     UNKNOWN,
-    OrbitInstance,
     TupleSystem,
     Verdict,
-    orbit_encoding,
     refutation_exponents,
     tuple_system,
     verify_abelian_witness,
@@ -24,7 +21,7 @@ from nilcert.whitehead import (
     whitehead_finite,
     whitehead_nilpotent,
 )
-from nilcert.zmod import AbelianModule, CapExceeded, IntMatrix
+from nilcert.zmod import AbelianModule, CapExceeded
 
 from oracles import orbit_matches_finite, regular_representation
 
@@ -471,42 +468,7 @@ def test_quotient_refutation_verifier_rejects_tampering():
 
 
 # ---------------------------------------------------------------------------
-# orbit encoding
-
-
-def test_orbit_coincident_instance():
-    p = heisenberg()
-    s = [((1, 0, 0),)]
-    inst = orbit_encoding(p, s, s)
-    assert inst.coincident()
-    assert inst.block_size == 3
-    assert inst.r == 1
-
-
-def test_orbit_action_matches_conjugation():
-    p = heisenberg()
-    s = [((1, 0, 0),)]
-    t = [((1, 0, 1),)]
-    inst = orbit_encoding(p, s, t)
-    assert not inst.coincident()
-    images = embed_matrix_group(p)
-    g = SemidirectElement(QMatrix.identity(3), [images[1]])
-    assert inst.act(inst.s_point, g) == inst.t_point
-
-
-def test_orbit_abelian_conjugation_degenerate():
-    p = PcPresentation(["a", "b"], [None, None])
-    a = embed_matrix_group(p)[0]
-    s = [((1, 0),), ((0, 1),), ((2, -3),)]
-    inst = orbit_encoding(p, s, s)
-    g = SemidirectElement(QMatrix.identity(inst.block_size), [a, a, a])
-    assert inst.act(inst.s_point, g) == inst.s_point
-
-
-def test_orbit_requires_torsion_free_embedding():
-    p = PcPresentation(["a"], [4])
-    with pytest.raises(ValueError):
-        orbit_encoding(p, [((1,),)], [((1,),)])
+# the finite solver against brute-force orbit membership
 
 
 def test_regular_representation_is_homomorphism():
