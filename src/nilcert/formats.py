@@ -320,7 +320,7 @@ def group_from_spec(spec, base_dir=".", cap=10**6):
     if any(m is None for m in pres.orders):
         raise FormatError("finite group spec has an infinite-order generator")
     try:
-        return quotient_table(pres, Subgroup(pres, []), cap=cap, verify=True)
+        return quotient_table(pres, Subgroup(pres, []), cap=cap)
     except CapExceeded as ex:
         raise FormatError(f"finite group too large: {ex}")
 

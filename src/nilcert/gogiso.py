@@ -22,7 +22,9 @@ provides:
     supplied by the caller as finite orbit lists,
   - ``fundamental_presentation``: a finite presentation of the
     fundamental group relative to a spanning tree, with its
-    abelianization as a cross-check invariant.
+    abelianization as a cross-check invariant; a FiniteGroupTable
+    vertex group contributes the generators and relations of the pc
+    presentation it numbers.
 
 Conventions: conjugation is x^g = g^-1 x g throughout, matching the
 rest of the package, and abelian homomorphisms act on row vectors.
@@ -38,7 +40,6 @@ from .nilgroup import (
     Subgroup,
     _Igs,
     _extend_table_map,
-    _lead,
     apply_images,
     check_relations,
     isomorphisms,
@@ -81,9 +82,10 @@ class GroupMap:
     ``generators()``.
 
     For a FiniteGroupTable domain the generator images are expanded to a
-    full element map (and the multiplication table is checked
-    completely); for module and pc domains the defining relations are
-    checked on construction.
+    full element map, checked on every edge of the Cayley graph; for
+    module and pc domains the defining relations are checked on
+    construction.  A preimage in a pc codomain sifts through an induced
+    sequence of the images that carries domain elements as payloads.
     """
 
     def __init__(self, domain, codomain, images, check=True):
@@ -99,7 +101,7 @@ class GroupMap:
         self._full = None
         self._injective = None
         self._surjective = None
-        self._piv = None
+        self._igs = None
         if isinstance(domain, FiniteGroupTable):
             self._full = self._expand_full_map()
         elif check:
@@ -179,25 +181,13 @@ class GroupMap:
                 return None
             x = d.normal_form(tuple(sol[: len(self._gens)]))
             return x if self.apply(x) == y else None
-        if self._piv is None:
+        if self._igs is None:
             payload = d if isinstance(d, PcPresentation) else _pc_of_abelian(d)
             items = [(self.images[k], payload.gen(k)) for k in range(len(self.images))]
-            self._piv = (payload, _Igs(c, payload_parent=payload).build(items).piv)
-        payload, piv = self._piv
-        x = y
-        pay = payload.identity()
-        while any(x):
-            lead = _lead(x)
-            if lead not in piv:
-                return None
-            h = piv[lead]
-            a = h[0][lead]
-            b = x[lead]
-            if b % a:
-                return None
-            q = b // a
-            pay = payload.multiply(pay, payload.power(h[1], q))
-            x = c.multiply(c.power(h[0], -q), x)
+            self._igs = _Igs(c, payload_parent=payload).build(items)
+        pay = self._igs.sift(y)
+        if pay is None:
+            return None
         out = d.normal_form(tuple(pay))
         return out if self.apply(out) == y else None
 
@@ -1045,12 +1035,16 @@ def spanning_tree(graph):
     return tuple(tree)
 
 
+def _pc_group(h):
+    """The pc presentation a table numbers; any other group itself."""
+    return h.qmap.target if isinstance(h, FiniteGroupTable) else h
+
+
 def _vertex_generator_block(v, h):
     if isinstance(h, AbelianModule):
         return [f"{v}_a{i}" for i in range(h.rank)]
-    if isinstance(h, PcPresentation):
-        return [f"{v}_{h.names[i]}" for i in range(h.n)]
-    return [f"{v}_e{i}" for i in _table_dense_index(h)]
+    h = _pc_group(h)
+    return [f"{v}_{h.names[i]}" for i in range(h.n)]
 
 
 def _vertex_relators(h, offset):
@@ -1064,36 +1058,24 @@ def _vertex_relators(h, offset):
         for k, m in enumerate(h.invariant_factors):
             out.append(((offset + h.free_rank + k, m),))
         return out
-    if isinstance(h, PcPresentation):
-        for i in range(h.n):
-            for j in range(i + 1, h.n):
-                img = h.conjugate(h.gen(j), h.gen(i))
-                word = ((offset + i, -1), (offset + j, 1), (offset + i, 1))
-                out.append(word + _winv(_element_word(h, img, offset)))
-        for i, m in enumerate(h.orders):
-            if m is not None:
-                tail = h.power(h.gen(i), m)
-                out.append(((offset + i, m),) + _winv(_element_word(h, tail, offset)))
-        return out
-    index = _table_dense_index(h)
-    for i in index:
-        for j in index:
-            word = ((offset + index[i], 1), (offset + index[j], 1))
-            out.append(word + _winv(_element_word(h, h.multiply(i, j), offset)))
+    h = _pc_group(h)
+    for i in range(h.n):
+        for j in range(i + 1, h.n):
+            img = h.conjugate(h.gen(j), h.gen(i))
+            word = ((offset + i, -1), (offset + j, 1), (offset + i, 1))
+            out.append(word + _winv(_element_word(h, img, offset)))
+    for i, m in enumerate(h.orders):
+        if m is not None:
+            tail = h.power(h.gen(i), m)
+            out.append(((offset + i, m),) + _winv(_element_word(h, tail, offset)))
     return out
 
 
-def _table_dense_index(h):
-    """Position of each non-identity element of a table among them."""
-    ident = h.identity()
-    return {i: k for k, i in enumerate(i for i in range(h.order) if i != ident)}
-
-
 def _element_word(h, x, offset):
+    """The word of x in the generator block at offset: its coordinates,
+    or for a table element those of its pc normal form."""
     if isinstance(h, FiniteGroupTable):
-        if x == h.identity():
-            return ()
-        return ((offset + _table_dense_index(h)[x], 1),)
+        x = h.elements[x]
     return tuple((offset + i, e) for i, e in enumerate(x) if e)
 
 

@@ -18,9 +18,10 @@ which bounds the class of any nilpotent group with this pc sequence, and the
 nilpotency class is read off the lower central series.
 
 Group interface.  The three kinds of group the package computes in --
-``PcPresentation`` (exponent vectors), ``FiniteGroupTable`` (element indices)
-and ``zmod.AbelianModule`` (coordinate rows) -- share seven methods, so code
-that only multiplies, conjugates or walks generators never asks which kind it
+``PcPresentation`` (exponent vectors), ``FiniteGroupTable`` (element indices,
+numbering the normal forms of a finite quotient's own pc presentation) and
+``zmod.AbelianModule`` (coordinate rows) -- share seven methods, so code that
+only multiplies, conjugates or walks generators never asks which kind it
 holds:
 
     identity()        the neutral element
@@ -595,6 +596,21 @@ class _Igs:
             x = self._pm(self._ppow(h, -(b // a)), x)
         return x
 
+    def sift(self, x):
+        """A payload of x: the product of the payloads of the pivot powers
+        that reduce x, an element of the parent, to the identity; None
+        when x lies outside the subgroup the pivots generate."""
+        pay = self.pp.identity()
+        while any(x):
+            d = _lead(x)
+            h = self.piv.get(d)
+            if h is None or x[d] % h[0][d]:
+                return None
+            q = x[d] // h[0][d]
+            pay = self.pp.multiply(pay, self.pp.power(h[1], q))
+            x = self.p.multiply(self.p.power(h[0], -q), x)
+        return pay
+
     def _canonicalise(self):
         leads = sorted(self.piv)
         for pos in range(len(leads) - 1, -1, -1):
@@ -921,98 +937,27 @@ class QuotientMap:
 
 
 class FiniteGroupTable:
-    """Finite group; either a finite-index quotient or an explicit
-    multiplication table.  A quotient table's elements are the normal forms
-    of ``qmap.target``, the quotient's own pc presentation, which does its
-    arithmetic; ``project`` takes a source element to its index and
-    ``qmap.lift`` takes an element back to a source vector."""
+    """A finite quotient of a pc group, its elements numbered.  Element i
+    is the i-th normal form of ``qmap.target``, the quotient's own pc
+    presentation, in the order of ``qmap.elements(cap)``, so the identity
+    is 0; ``qmap.target`` does the arithmetic, ``project`` takes a source
+    element to its index and ``qmap.lift`` takes an element back to a
+    source vector.  The presentation passed its overlap checks when it
+    was built, so the numbered group needs no checks of its own."""
 
-    def __init__(self, elements, mult_fn, inv_fn=None, identity_elem=None,
-                 verify=True, rng_seed=7):
-        self.elements = tuple(elements)
+    def __init__(self, qmap: QuotientMap, cap=10**6):
+        self.qmap = qmap
+        self.elements = tuple(qmap.elements(cap))
         self.order = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._mult_fn = mult_fn
         self._memo = {}
-        self.qmap = None
-        if identity_elem is None:
-            ident = None
-            for i in range(self.order):
-                if all(
-                    self.multiply(i, j) == j and self.multiply(j, i) == j
-                    for j in range(self.order)
-                ):
-                    ident = i
-                    break
-            if ident is None:
-                raise ValueError("table has no identity")
-        else:
-            ident = self._index[identity_elem]
-        self._identity = ident
-        self._inv = {}
-        if inv_fn is not None:
-            for i, e in enumerate(self.elements):
-                j = self._index[inv_fn(e)]
-                if self.multiply(i, j) != ident or self.multiply(j, i) != ident:
-                    raise ValueError("inverse function is wrong")
-                self._inv[i] = j
-        else:
-            for i in range(self.order):
-                for j in range(self.order):
-                    if self.multiply(i, j) == ident:
-                        if self.multiply(j, i) != ident:
-                            raise ValueError("one-sided inverse: not a group")
-                        self._inv[i] = j
-                        break
-                else:
-                    raise ValueError("missing inverse: not a group")
-        if verify:
-            self._verify_associativity(rng_seed)
-
-    def _verify_associativity(self, seed):
-        import random as _random
-
-        n = self.order
-        if n <= 72:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            rng = _random.Random(seed)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(1000)
-            )
-        for a, b, c in triples:
-            if self.multiply(self.multiply(a, b), c) != self.multiply(a, self.multiply(b, c)):
-                raise ValueError("associativity fails: not a group")
-
-    @classmethod
-    def from_quotient(cls, qmap: QuotientMap, cap=10**6, verify=True):
-        q = qmap.target
-        table = cls(qmap.elements(cap), q.multiply, inv_fn=q.invert,
-                    identity_elem=q.identity(), verify=verify)
-        table.qmap = qmap
-        return table
-
-    @classmethod
-    def from_table(cls, rows, verify=True):
-        n = len(rows)
-        rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != n or any(not (0 <= x < n) for x in r):
-                raise ValueError("malformed multiplication table")
-
-        def mult_fn(a, b):
-            return rows[a][b]
-
-        return cls(tuple(range(n)), mult_fn, verify=verify)
+        self._inv = [self._index[qmap.target.invert(e)] for e in self.elements]
 
     def index_of(self, element):
         return self._index[element]
 
     def identity(self):
-        return self._identity
+        return 0
 
     def normal_form(self, x):
         """x itself, after checking that it indexes an element."""
@@ -1025,7 +970,7 @@ class FiniteGroupTable:
         key = (i, j)
         r = self._memo.get(key)
         if r is None:
-            r = self._index[self._mult_fn(self.elements[i], self.elements[j])]
+            r = self._index[self.qmap.target.multiply(self.elements[i], self.elements[j])]
             self._memo[key] = r
         return r
 
@@ -1035,14 +980,10 @@ class FiniteGroupTable:
     def conjugate(self, i, g):
         return self.multiply(self.invert(g), self.multiply(i, g))
 
-    def commutator(self, i, j):
-        return self.multiply(self.invert(self.multiply(j, i)), self.multiply(i, j))
-
     def element_order(self, i):
-        ident = self._identity
         k = 1
         x = i
-        while x != ident:
+        while x:
             x = self.multiply(x, i)
             k += 1
             if k > self.order:
@@ -1052,7 +993,7 @@ class FiniteGroupTable:
     def power(self, i, k):
         if k < 0:
             i, k = self.invert(i), -k
-        x = self._identity
+        x = 0
         while k:
             if k & 1:
                 x = self.multiply(x, i)
@@ -1075,8 +1016,8 @@ class FiniteGroupTable:
         return tuple(gens)
 
     def closure(self, gens):
-        seen = {self._identity}
-        frontier = [self._identity]
+        seen = {0}
+        frontier = [0]
         gens = list(gens)
         while frontier:
             x = frontier.pop()
@@ -1088,9 +1029,7 @@ class FiniteGroupTable:
         return frozenset(seen)
 
     def project(self, x):
-        """Index of the image of a source element (quotient tables only)."""
-        if self.qmap is None:
-            raise ValueError("not a quotient table")
+        """Index of the image of a source element."""
         return self._index[self.qmap.project(x)]
 
 
@@ -1100,9 +1039,8 @@ def serialize_element(x):
     return int(x) if isinstance(x, int) else [int(c) for c in x]
 
 
-def quotient_table(p: PcPresentation, kernel: Subgroup, cap=10**6,
-                   verify=True) -> FiniteGroupTable:
-    return FiniteGroupTable.from_quotient(QuotientMap(p, kernel), cap=cap, verify=verify)
+def quotient_table(p: PcPresentation, kernel: Subgroup, cap=10**6) -> FiniteGroupTable:
+    return FiniteGroupTable(QuotientMap(p, kernel), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,24 +1281,9 @@ class GroupHom:
         """Inverse of an isomorphism, via a payload-tracked induced sequence."""
         items = [(self.images[k], self.source.gen(k)) for k in range(self.source.n)]
         igs = _Igs(self.target, payload_parent=self.source).build(items)
-        piv = igs.piv
-        pre_images = []
-        for k in range(self.target.n):
-            x = self.target.gen(k)
-            pay = self.source.identity()
-            while any(x):
-                d = _lead(x)
-                if d not in piv:
-                    raise ValueError("homomorphism is not surjective")
-                h = piv[d]
-                a = h[0][d]
-                b = x[d]
-                if b % a:
-                    raise ValueError("homomorphism is not surjective")
-                q = b // a
-                pay = self.source.multiply(pay, self.source.power(h[1], q))
-                x = self.target.multiply(self.target.power(h[0], -q), x)
-            pre_images.append(pay)
+        pre_images = [igs.sift(g) for g in self.target.generators()]
+        if None in pre_images:
+            raise ValueError("homomorphism is not surjective")
         inv = GroupHom(self.target, self.source, pre_images, check=False)
         for k in range(self.source.n):
             if inv.apply(self.apply(self.source.gen(k))) != self.source.gen(k):
@@ -1369,10 +1292,6 @@ class GroupHom:
             if self.apply(inv.apply(self.target.gen(k))) != self.target.gen(k):
                 raise ValueError("inverse computation failed (map is not bijective)")
         return inv
-
-
-def hom_from_images(source, target, images, check=True) -> GroupHom:
-    return GroupHom(source, target, images, check=check)
 
 
 def identity_hom(p) -> GroupHom:

@@ -23,7 +23,6 @@ import math
 
 from .zmod import (
     AdaptedQuotient,
-    CapExceeded,
     IntMatrix,
     Submodule,
     coset_representatives,
@@ -31,7 +30,6 @@ from .zmod import (
     isolator,
 )
 from .nilgroup import (
-    FiniteGroupTable,
     GroupHom,
     PcPresentation,
     QuotientMap,
@@ -40,7 +38,6 @@ from .nilgroup import (
     identity_hom,
     intersect_finite_index,
     is_inner,
-    isomorphisms,
     simultaneous_conjugator,
     upper_central_series,
     verbal_power_subgroup,
@@ -397,48 +394,6 @@ def good_enough_subgroup(p: PcPresentation, h: Subgroup, h0: Subgroup,
     raise BudgetExhausted(
         f"no power subgroup with exponent <= {kmax} satisfies both containments"
     )
-
-
-# ---------------------------------------------------------------------------
-# automorphisms of finite groups
-
-
-class OutFiniteResult:
-    """Complete automorphism data of a finite group: generator indices,
-    every automorphism as a tuple of generator images, inner flags, and
-    the orders of Aut, Inn and Out."""
-
-    def __init__(self, table, generators, automorphisms, inner_flags):
-        self.table = table
-        self.generators = generators
-        self.automorphisms = automorphisms
-        self.inner_flags = inner_flags
-        self.aut_order = len(automorphisms)
-        self.inn_order = sum(1 for f in inner_flags if f)
-        self.out_order = self.aut_order // self.inn_order
-
-    def __repr__(self):
-        return (
-            f"OutFiniteResult(aut={self.aut_order}, inn={self.inn_order}, "
-            f"out={self.out_order})"
-        )
-
-
-def out_finite(table: FiniteGroupTable, cap=512) -> OutFiniteResult:
-    """All automorphisms of a finite group, as images of its greedy
-    generators in the order ``nilgroup.isomorphisms`` yields them, with
-    each automorphism flagged inner or outer."""
-    n = table.order
-    if n > cap:
-        raise CapExceeded(f"group order {n} exceeds the cap {cap}")
-    gens = table.generators()
-    found = [
-        tuple(phi[g] for g in gens)
-        for phi in isomorphisms(table, table, [range(n)] * len(gens))
-    ]
-    inner_tuples = {tuple(table.conjugate(g, c) for g in gens) for c in range(n)}
-    flags = [tup in inner_tuples for tup in found]
-    return OutFiniteResult(table, gens, found, flags)
 
 
 # ---------------------------------------------------------------------------

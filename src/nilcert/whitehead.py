@@ -543,7 +543,7 @@ def _try_refutation(p, s, t, exponent, finite_cap, quotient_cap):
         record["outcome"] = "skipped: quotient is trivial"
         return record, None
     try:
-        table = quotient_table(p, sub, cap=finite_cap, verify=False)
+        table = quotient_table(p, sub, cap=finite_cap)
     except CapExceeded:
         record["outcome"] = "skipped: quotient order cap"
         return record, None
@@ -660,7 +660,7 @@ def verify_quotient_refutation(p: PcPresentation, s, t, certificate,
     _check_shapes(s, t)
     exponent = certificate["exponent"]
     sub = verbal_power_subgroup(p, exponent, cap=quotient_cap)
-    table = quotient_table(p, sub, cap=finite_cap, verify=True)
+    table = quotient_table(p, sub, cap=finite_cap)
     return _quotient_refutation(s, t, exponent, table, finite_cap) == certificate
 
 

@@ -9,16 +9,17 @@ import itertools
 from itertools import product as iproduct
 
 from nilcert import whitehead
+from nilcert.gogiso import Presentation
 from nilcert.malcev import QMatrix, UniTriangular
 from nilcert.nilgroup import (
-    FiniteGroupTable,
     GroupHom,
     PcPresentation,
     QuotientMap,
     Subgroup,
+    isomorphisms,
     quotient_table,
 )
-from nilcert.outsep import SurvivalCheck, out_finite
+from nilcert.outsep import SurvivalCheck
 from nilcert.zmod import CapExceeded, IndexInfinite
 
 
@@ -38,7 +39,32 @@ def brute_force_hom_count(a, c):
     return count
 
 
-def source_quotient_table(qmap, cap=10**6, verify=True):
+class CosetTable:
+    """source / kernel on the given coset representatives, numbered in
+    their order, with products and inverses collected in the source and
+    reduced modulo the kernel."""
+
+    def __init__(self, qmap, elements):
+        self.source = qmap.source
+        self.kernel = qmap.kernel
+        self.elements = tuple(elements)
+        self.order = len(self.elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+
+    def index_of(self, element):
+        return self._index[self.kernel.reduce(element)]
+
+    def identity(self):
+        return self.index_of(self.source.identity())
+
+    def multiply(self, i, j):
+        return self.index_of(self.source.multiply(self.elements[i], self.elements[j]))
+
+    def invert(self, i):
+        return self.index_of(self.source.invert(self.elements[i]))
+
+
+def source_quotient_table(qmap, cap=10**6):
     """The table of source / kernel built by collecting in the source:
     elements are the sorted canonical coset representatives, a product is
     the source product reduced modulo the kernel.  Returns the table and
@@ -67,21 +93,8 @@ def source_quotient_table(qmap, cap=10**6, verify=True):
     elems = sorted(set(ker.reduce(e) for e in elems))
     if len(elems) != total:
         raise RuntimeError("transversal enumeration mismatch")
-
-    def mult_vec(a, b):
-        return ker.reduce(src.multiply(a, b))
-
-    def inv_vec(a):
-        return ker.reduce(src.invert(a))
-
-    table = FiniteGroupTable(
-        elems,
-        mult_vec,
-        inv_fn=inv_vec,
-        identity_elem=src.identity(),
-        verify=verify,
-    )
-    return table, lambda x: table.index_of(ker.reduce(src.normal_form(x)))
+    table = CosetTable(qmap, elems)
+    return table, table.index_of
 
 
 def verbal_power_subgroup_by_closure(p, k, cap=10**6):
@@ -92,8 +105,7 @@ def verbal_power_subgroup_by_closure(p, k, cap=10**6):
     if k == 1:
         return Subgroup(p, [p.gen(i) for i in range(p.n)])
     h = Subgroup(p, [p.power(p.gen(i), k) for i in range(p.n)], normal_closure=True)
-    table, _ = source_quotient_table(QuotientMap(p, h, check_normal=False), cap=cap,
-                                     verify=False)
+    table, _ = source_quotient_table(QuotientMap(p, h, check_normal=False), cap=cap)
     gens = list(h.gens)
     for elem in table.elements:
         gens.append(p.power(elem, k))
@@ -179,6 +191,62 @@ def orbit_matches_finite(table, s, t, cap=512):
                 raise RuntimeError("orbit element fails the block action law")
             return True, (perm, hs)
     return False, None
+
+
+class OutFiniteResult:
+    """Complete automorphism data of a finite group: generator indices,
+    every automorphism as a tuple of generator images, inner flags, and
+    the orders of Aut, Inn and Out."""
+
+    def __init__(self, table, generators, automorphisms, inner_flags):
+        self.table = table
+        self.generators = generators
+        self.automorphisms = automorphisms
+        self.inner_flags = inner_flags
+        self.aut_order = len(automorphisms)
+        self.inn_order = sum(1 for f in inner_flags if f)
+        self.out_order = self.aut_order // self.inn_order
+
+    def __repr__(self):
+        return (
+            f"OutFiniteResult(aut={self.aut_order}, inn={self.inn_order}, "
+            f"out={self.out_order})"
+        )
+
+
+def out_finite(table, cap=512):
+    """All automorphisms of a finite group, as images of its greedy
+    generators in the order ``nilgroup.isomorphisms`` yields them, with
+    each automorphism flagged inner or outer."""
+    n = table.order
+    if n > cap:
+        raise CapExceeded(f"group order {n} exceeds the cap {cap}")
+    gens = table.generators()
+    found = [
+        tuple(phi[g] for g in gens)
+        for phi in isomorphisms(table, table, [range(n)] * len(gens))
+    ]
+    inner_tuples = {tuple(table.conjugate(g, c) for g in gens) for c in range(n)}
+    flags = [tup in inner_tuples for tup in found]
+    return OutFiniteResult(table, gens, found, flags)
+
+
+def table_relator_abelianization(table):
+    """The abelianization of a finite group presented on its non-identity
+    elements by every relator x y (xy)^-1, the whole multiplication table:
+    a route to the invariants that does not use the pc presentation
+    ``fundamental_presentation`` gives a table vertex."""
+    index = {x: k for k, x in enumerate(x for x in range(table.order) if x != table.identity())}
+
+    def word(x):
+        return () if x == table.identity() else ((index[x], 1),)
+
+    relators = [
+        word(x) + word(y) + tuple((i, -e) for i, e in word(table.multiply(x, y)))
+        for x in index
+        for y in index
+    ]
+    return Presentation([f"e{k}" for k in index.values()], relators).abelianization()
 
 
 def full_automorphism_map(table, gens, images):
@@ -333,7 +401,7 @@ def survives_by_table_scan(a, p0, cap=10**6):
     for g in p0.gens:
         if not p0.contains(rep.apply(g)):
             raise ValueError("subgroup is not preserved by the representative")
-    table = quotient_table(p, p0, cap=cap, verify=False)
+    table = quotient_table(p, p0, cap=cap)
     gen_imgs = [table.project(p.gen(k)) for k in range(p.n)]
     induced = [table.project(rep.apply(p.gen(k))) for k in range(p.n)]
     conj = None

@@ -179,6 +179,20 @@ def test_whitehead_report_verifies(group, s, t, expected, tmp_path, capsys):
     assert out == expected
 
 
+def test_whitehead_rejects_an_inconsistent_finite_presentation(tmp_path, capsys):
+    """A finite group's table numbers the normal forms of its pc
+    presentation, so the overlap check on that presentation is the input
+    check: here a^2 = b does not commute with a, which inverts b."""
+    text = "group B\ngen a order 2\ngen b order 4\nconj b ^ a = b^3\npow a = b\n"
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"group": {"kind": "finite", "text": text}, "s": [[1]], "t": [[1]]}))
+    code, out = run(["whitehead", str(path), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"code": "parse", "message": "presentation rejected: overlap a^2 a"}
+    }
+
+
 def test_whitehead_unknown_exits_2(tmp_path, capsys):
     instance = {"group": PC, "s": [[[0, 0, 5]]], "t": [[[0, 0, 1]]]}
     code, out = whitehead_round_trip(instance, ["--budget", "1"], tmp_path, capsys)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import table_relator_abelianization
 from nilcert.gogiso import (
     ExtensionAdjustment,
     GoGIsomorphism,
@@ -235,7 +236,7 @@ def test_group_map_nonabelian_to_abelian_never_injective():
 def test_group_map_infinite_domain_finite_codomain():
     z1 = AbelianModule(1, [])
     p = PcPresentation(["a"], [4])
-    c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
+    c4 = quotient_table(p, Subgroup(p, []), cap=100)
     gen = c4.generators()[0]
     m = GroupMap(z1, c4, [gen])
     assert m.is_surjective()
@@ -245,7 +246,7 @@ def test_group_map_infinite_domain_finite_codomain():
 
 def test_group_map_finite_table_expansion_and_errors():
     p = PcPresentation(["a"], [4])
-    c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
+    c4 = quotient_table(p, Subgroup(p, []), cap=100)
     gen = c4.generators()[0]
     inv_images = [c4.invert(gen)]
     m = GroupMap(c4, c4, inv_images)
@@ -256,16 +257,16 @@ def test_group_map_finite_table_expansion_and_errors():
     assert not squaring.is_injective()
     assert not squaring.is_surjective()
     q = PcPresentation(["c"], [3])
-    c3 = quotient_table(q, Subgroup(q, []), cap=100, verify=True)
+    c3 = quotient_table(q, Subgroup(q, []), cap=100)
     with pytest.raises(ValueError, match="multiplication table"):
         GroupMap(c4, c3, [c3.generators()[0]])
 
 
 def test_group_map_between_different_tables():
     p1 = PcPresentation(["a"], [4])
-    t1 = quotient_table(p1, Subgroup(p1, []), cap=100, verify=True)
+    t1 = quotient_table(p1, Subgroup(p1, []), cap=100)
     p2 = PcPresentation(["a", "b"], [2, 2], powers={0: (0, 1)})
-    t2 = quotient_table(p2, Subgroup(p2, []), cap=100, verify=True)
+    t2 = quotient_table(p2, Subgroup(p2, []), cap=100)
     g1 = t1.generators()[0]
     image = [i for i in range(4) if t2.element_order(i) == 4][0]
     m = GroupMap(t1, t2, [image])
@@ -667,7 +668,7 @@ def test_decide_nilpotent_unknown_on_small_budget():
 
 def test_decide_finite_white_group():
     p = PcPresentation(["a"], [4])
-    c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
+    c4 = quotient_table(p, Subgroup(p, []), cap=100)
     gen = c4.generators()[0]
     z_mod2 = AbelianModule(0, [2])
     z_mod4 = AbelianModule(0, [4])
@@ -694,7 +695,7 @@ def test_decide_finite_white_group():
 
 def test_decide_finite_black_group():
     p = PcPresentation(["a"], [4])
-    c4 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
+    c4 = quotient_table(p, Subgroup(p, []), cap=100)
     gen = c4.generators()[0]
     z_mod4 = AbelianModule(0, [4])
     g = segment_graph()
@@ -721,9 +722,9 @@ def test_decide_finite_black_group():
 
 def test_decide_cross_table_white_groups():
     p1 = PcPresentation(["a"], [4])
-    t1 = quotient_table(p1, Subgroup(p1, []), cap=100, verify=True)
+    t1 = quotient_table(p1, Subgroup(p1, []), cap=100)
     p2 = PcPresentation(["a", "b"], [2, 2], powers={0: (0, 1)})
-    t2 = quotient_table(p2, Subgroup(p2, []), cap=100, verify=True)
+    t2 = quotient_table(p2, Subgroup(p2, []), cap=100)
     z_mod2 = AbelianModule(0, [2])
     z_mod4 = AbelianModule(0, [4])
     g = segment_graph()
@@ -896,12 +897,58 @@ def test_fundamental_presentation_segment_glue():
 
 def test_fundamental_presentation_finite_vertex():
     p = PcPresentation(["a"], [3])
-    c3 = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
+    c3 = quotient_table(p, Subgroup(p, []), cap=100)
     g = Graph(["v"], [], {}, {})
     x = GraphOfGroups(g, {"v": c3}, {}, {})
     pres = fundamental_presentation(x, ())
     ab = pres.abelianization()
     assert ab.free_rank == 0 and ab.invariant_factors == (3,)
+
+
+FINITE_VERTEX_GROUPS = {
+    "D8": PcPresentation(["a", "b", "c"], [2, 2, 2], conj={(0, 1): (0, 1, 1)}),
+    "Q8": PcPresentation(
+        ["a", "b", "c"], [2, 2, 2], conj={(0, 1): (0, 1, 1)}, powers={0: (0, 0, 1), 1: (0, 0, 1)}
+    ),
+    "C4xC2": PcPresentation(["a", "b", "c"], [2, 2, 2], powers={0: (0, 0, 1)}),
+    "Z/9": PcPresentation(["a", "b"], [3, 3], powers={0: (0, 1)}),
+}
+
+
+@pytest.mark.parametrize(
+    "name, invariants",
+    [("C4xC2", (2, 4)), ("D8", (2, 2)), ("Q8", (2, 2)), ("Z/9", (9,))],
+)
+def test_fundamental_presentation_table_vertex_matches_table_relators(name, invariants):
+    """A table vertex group is presented by the pc presentation it
+    numbers; the abelianization is that of the presentation by the whole
+    multiplication table."""
+    p = FINITE_VERTEX_GROUPS[name]
+    table = quotient_table(p, Subgroup(p, []))
+    g = Graph(["v"], [], {}, {})
+    ab = fundamental_presentation(GraphOfGroups(g, {"v": table}, {}, {}), ()).abelianization()
+    old = table_relator_abelianization(table)
+    assert (ab.free_rank, ab.invariant_factors) == (old.free_rank, old.invariant_factors)
+    assert (ab.free_rank, ab.invariant_factors) == (0, invariants)
+
+
+def test_fundamental_presentation_table_loop():
+    """Z/9 extended by a stable letter acting as a -> a^4: the Bass
+    relation a = a^4 leaves Z x Z/3."""
+    p = FINITE_VERTEX_GROUPS["Z/9"]
+    z9 = quotient_table(p, Subgroup(p, []))
+    a = z9.project((1, 0))
+    edge = AbelianModule(0, [9])
+    x = GraphOfGroups(
+        loop_graph(),
+        {"v": z9},
+        {"e": edge, "E": edge},
+        {"e": GroupMap(edge, z9, [a]), "E": GroupMap(edge, z9, [z9.power(a, 4)])},
+    )
+    pres = fundamental_presentation(x, ())
+    assert pres.generators == ("v_a", "v_b", "t_e")
+    ab = pres.abelianization()
+    assert (ab.free_rank, ab.invariant_factors) == (1, (3,))
 
 
 def test_fundamental_presentation_heisenberg_vertex():

@@ -1,12 +1,17 @@
 """The seven-method group interface shared by AbelianModule,
 FiniteGroupTable and PcPresentation."""
 
-import itertools
 import random
 
 import pytest
 
-from nilcert.nilgroup import FiniteGroupTable, PcPresentation, quotient_table, verbal_power_subgroup
+from nilcert.nilgroup import (
+    FiniteGroupTable,
+    PcPresentation,
+    Subgroup,
+    quotient_table,
+    verbal_power_subgroup,
+)
 from nilcert.zmod import AbelianModule
 
 
@@ -19,11 +24,10 @@ def z_semidirect_z4():
     return PcPresentation(["a", "b"], [None, 4], conj={(0, 1): (0, 3)})
 
 
-def s3_table():
-    perms = list(itertools.permutations(range(3)))
-    index = {q: i for i, q in enumerate(perms)}
-    rows = [[index[tuple(q[r[k]] for k in range(3))] for r in perms] for q in perms]
-    return FiniteGroupTable.from_table(rows)
+def d8_table():
+    """The dihedral group of order 8: b^a = b c with c central."""
+    p = PcPresentation(["a", "b", "c"], [2, 2, 2], conj={(0, 1): (0, 1, 1)})
+    return quotient_table(p, Subgroup(p, []))
 
 
 def h3_mod_cubes():
@@ -42,7 +46,7 @@ def sampler(group):
 GROUPS = {
     "abelian Z+Z/2+Z/4": lambda: AbelianModule(1, [2, 4]),
     "table H3/H3^3": h3_mod_cubes,
-    "table S3": s3_table,
+    "table D8": d8_table,
     "pc H3": heisenberg,
     "pc Z x| Z/4": z_semidirect_z4,
 }
@@ -90,8 +94,8 @@ def test_generators_generate(name):
 
 
 def test_table_normal_form_checks_the_index():
-    t = s3_table()
+    t = d8_table()
     assert t.normal_form(5) == 5
-    for bad in (-1, 6):
+    for bad in (-1, 8):
         with pytest.raises(ValueError, match="out of range"):
             t.normal_form(bad)

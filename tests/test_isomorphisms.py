@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import box_automorphisms, table_isomorphisms
+from oracles import box_automorphisms, out_finite, table_isomorphisms
 from nilcert.nilgroup import (
     GroupHom,
     PcPresentation,
@@ -13,7 +13,6 @@ from nilcert.nilgroup import (
     isomorphisms,
     quotient_table,
 )
-from nilcert.outsep import out_finite
 from nilcert.whitehead import _box_elements, whitehead_nilpotent
 
 GROUPS = {
@@ -48,7 +47,7 @@ def _random_quotient(rng):
             gens.append(p.random_element(rng, 1))
         kernel = Subgroup(p, gens, normal_closure=True)
         if 2 <= kernel.index_in_parent() <= 16:
-            return quotient_table(p, kernel, verify=False)
+            return quotient_table(p, kernel)
 
 
 def test_tables_match_brute_force_over_all_image_tuples():

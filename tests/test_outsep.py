@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from oracles import out_finite
 from nilcert.nilgroup import (
-    FiniteGroupTable,
     GroupHom,
     PcPresentation,
     QuotientMap,
@@ -23,7 +23,6 @@ from nilcert.outsep import (
     elusive_elements,
     good_enough_subgroup,
     hom_star_space,
-    out_finite,
     phi,
     projection_p,
     psi,
@@ -301,32 +300,31 @@ def test_good_enough_rejects_foreign_quotient_subgroup():
 # automorphisms of finite groups
 
 
+def whole_table(names, orders):
+    """The abelian group with these relative orders, as a table."""
+    p = PcPresentation(names, orders)
+    return quotient_table(p, Subgroup(p, []))
+
+
 def test_out_finite_trivial_group():
-    res = out_finite(FiniteGroupTable.from_table([[0]]))
+    res = out_finite(whole_table([], []))
     assert (res.aut_order, res.inn_order, res.out_order) == (1, 1, 1)
 
 
 def test_out_finite_cyclic_five():
-    z5 = FiniteGroupTable.from_table([[(i + j) % 5 for j in range(5)] for i in range(5)])
-    res = out_finite(z5)
+    res = out_finite(whole_table(["a"], [5]))
     assert (res.aut_order, res.inn_order, res.out_order) == (4, 1, 4)
 
 
 def test_out_finite_elementary_nine():
-    els = [(a, b) for a in range(3) for b in range(3)]
-    idx = {e: i for i, e in enumerate(els)}
-    rows = [
-        [idx[((a[0] + b[0]) % 3, (a[1] + b[1]) % 3)] for b in els] for a in els
-    ]
-    res = out_finite(FiniteGroupTable.from_table(rows))
+    res = out_finite(whole_table(["a", "b"], [3, 3]))
     assert res.aut_order == 48 and res.out_order == 48
 
 
 def test_out_finite_extraspecial_27():
     p = heisenberg()
     table = quotient_table(
-        p, Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)], normal_closure=True),
-        verify=False,
+        p, Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)], normal_closure=True)
     )
     res = out_finite(table)
     assert (res.aut_order, res.inn_order, res.out_order) == (432, 9, 48)
@@ -336,8 +334,7 @@ def test_out_finite_extraspecial_27():
 def test_out_finite_cap():
     p = heisenberg()
     table = quotient_table(
-        p, Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)], normal_closure=True),
-        verify=False,
+        p, Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)], normal_closure=True)
     )
     with pytest.raises(CapExceeded):
         out_finite(table, cap=26)

@@ -32,7 +32,7 @@ def heisenberg():
 
 def finite_cyclic_table(n):
     p = PcPresentation(["a"], [n])
-    return quotient_table(p, Subgroup(p, []), cap=1000, verify=True)
+    return quotient_table(p, Subgroup(p, []), cap=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_finite_cyclic_inversion():
 
 def test_finite_z3_squared_transitive():
     p = PcPresentation(["a", "b"], [3, 3])
-    table = quotient_table(p, Subgroup(p, []), cap=100, verify=True)
+    table = quotient_table(p, Subgroup(p, []), cap=100)
     s = [(table.project((1, 0)),)]
     t = [(table.project((0, 1)),)]
     v = whitehead_finite(table, s, t)
