@@ -39,11 +39,11 @@ from .nilgroup import (
     PcPresentation,
     Subgroup,
     _Igs,
-    _extend_table_map,
     apply_images,
     check_relations,
     isomorphisms,
     serialize_element,
+    table_map,
     torsion_data,
 )
 from .whitehead import (
@@ -81,11 +81,12 @@ class GroupMap:
     ``nilgroup`` module docstring), given by the images of the domain's
     ``generators()``.
 
-    For a FiniteGroupTable domain the generator images are expanded to a
-    full element map, checked on every edge of the Cayley graph; for
-    module and pc domains the defining relations are checked on
-    construction.  A preimage in a pc codomain sifts through an induced
-    sequence of the images that carries domain elements as payloads.
+    For a FiniteGroupTable domain the generator images are checked on the
+    relations of the pc presentation the table numbers and expanded to a
+    full element map (``nilgroup.table_map``); for module and pc domains
+    the defining relations are checked on construction.  A preimage in a
+    pc codomain sifts through an induced sequence of the images that
+    carries domain elements as payloads.
     """
 
     def __init__(self, domain, codomain, images, check=True):
@@ -122,10 +123,10 @@ class GroupMap:
         return f"GroupMap(images={self.images!r})"
 
     def _expand_full_map(self):
-        full = _extend_table_map(self.domain, self.codomain, self._gens, self.images)
+        full = table_map(self.domain, self.codomain, self.images)
         if full is None:
             raise ValueError("images do not respect the multiplication table")
-        return tuple(full[x] for x in range(self.domain.order))
+        return tuple(full)
 
     def _check_relations(self):
         c = self.codomain

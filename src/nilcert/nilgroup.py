@@ -32,9 +32,8 @@ holds:
     power(a, k)       a^k for any integer k
     conjugate(a, c)   a^c = c^-1 a c (a itself, normalized, when abelian)
     generators()      canonical generators: the pc generators, the unit
-                      vectors of a module, or for a table the greedy set
-                      that adds the least element outside the subgroup
-                      generated so far
+                      vectors of a module, or for a table the pc generators
+                      of the presentation it numbers, tail first
 
 Algorithms that differ by kind (injectivity, preimages, isomorphism tests)
 still test the class with ``isinstance``.
@@ -139,6 +138,7 @@ class PcPresentation:
         self._gamma_cache = None
         self._relations = None
         self._hom_star_space = None
+        self._torsion_data = {}
         if unit_diagonal:
             self.nilpotency_class = max(self.weights) if self.n else 1
             self._class_bound = self.nilpotency_class
@@ -980,16 +980,6 @@ class FiniteGroupTable:
     def conjugate(self, i, g):
         return self.multiply(self.invert(g), self.multiply(i, g))
 
-    def element_order(self, i):
-        k = 1
-        x = i
-        while x:
-            x = self.multiply(x, i)
-            k += 1
-            if k > self.order:
-                raise ValueError("order computation overran the group")
-        return k
-
     def power(self, i, k):
         if k < 0:
             i, k = self.invert(i), -k
@@ -1003,17 +993,13 @@ class FiniteGroupTable:
         return x
 
     def generators(self):
-        """Greedy generating set: repeatedly the least element outside the
-        subgroup generated so far."""
-        gens = []
-        reach = self.closure(gens)
-        for i in range(self.order):
-            if len(reach) == self.order:
-                break
-            if i not in reach:
-                gens.append(i)
-                reach = self.closure(gens)
-        return tuple(gens)
+        """The pc generators of ``qmap.target``, tail first: g_{n-1}, ...,
+        g_0, as indices.  Elements are numbered in lexicographic order of
+        their normal forms, so g_i is element m_{i+1} ... m_{n-1}, and the
+        subgroup <g_i, ..., g_{n-1}> that the last n - i of them generate
+        is exactly the first m_i ... m_{n-1} elements."""
+        q = self.qmap.target
+        return tuple(self._index[q.gen(i)] for i in reversed(range(q.n)))
 
     def closure(self, gens):
         seen = {0}
@@ -1342,10 +1328,12 @@ def check_relations(p: PcPresentation, target, images):
             raise ValueError(f"relation violated: {lhs} = {_word_str(p, v)}")
 
 
-def isomorphisms(domain, codomain, candidates):
+def isomorphisms(domain, codomain, candidates, congruences=()):
     """Every isomorphism domain -> codomain that sends the k-th of
     ``domain.generators()`` into ``candidates[k]``, lazily and in the
-    lexicographic order of the candidate lists.
+    lexicographic order of the candidate lists.  For a pc domain,
+    ``congruences`` holds pairs (x, y): only maps sending x into
+    y [codomain, codomain] are kept.
 
     A backtrack over generator images that tests relations on prefixes
     (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
@@ -1359,20 +1347,32 @@ def isomorphisms(domain, codomain, candidates):
         complete map is kept when it is onto.  Onto suffices for an
         endomorphism of a finitely generated nilpotent group; callers
         mapping between two presentations still check
-        ``GroupHom.inverse()``.
+        ``GroupHom.inverse()``.  A congruence is checked like a relation,
+        as soon as every letter of x has an image, in the coordinates of
+        ``codomain.abelianization()``: there the image of x is the sum of
+        the images of its letters.
       * FiniteGroupTable domain, yielding the image of every element as a
-        tuple indexed by element: only candidates of the generator's
-        element order are tried, and the map is extended over the
-        subgroup generated so far, stopping at the first Cayley edge that
-        disagrees or the first two elements with one image.
+        tuple indexed by element: the k-th generator is the pc generator
+        g_i, i = n - 1 - k, of the presentation the table numbers, so its
+        image is checked against the relations (i, .) of that
+        presentation, whose right sides the map on the block before
+        already sends somewhere, and the map then extends to the block
+        <g_i, ..., g_{n-1}>, the first m_i ... m_{n-1} elements, by one
+        product per element (``_table_block``).  A block with two
+        elements of one image ends the branch.
     """
     candidates = [[codomain.normal_form(x) for x in cs] for cs in candidates]
     if isinstance(domain, FiniteGroupTable):
         return _table_isomorphisms(domain, codomain, candidates)
-    return _pc_isomorphisms(domain, codomain, candidates)
+    return _pc_isomorphisms(domain, codomain, candidates, congruences)
 
 
-def _pc_isomorphisms(p, c, candidates):
+def _pc_isomorphisms(p, c, candidates, congruences):
+    ab = c.abelianization() if congruences else None
+    ab_checks = [[] for _ in range(p.n)]
+    for x, y in congruences:
+        top = max([0] + [k for k, e in enumerate(x) if e])
+        ab_checks[top].append((x, ab.coords(y)))
     checks = [[] for _ in range(p.n)]
     forcing = [None] * p.n
     for rel in p.relations():
@@ -1406,11 +1406,21 @@ def _pc_isomorphisms(p, c, candidates):
             options = [forced]
         for img in options:
             images.append(img)
-            if all(_relation_holds(p, c, images, r) for r in checks[k]):
+            if all(
+                ab.coords(_exponent_sum(images, x)) == y for x, y in ab_checks[k]
+            ) and all(_relation_holds(p, c, images, r) for r in checks[k]):
                 yield from extend(k + 1)
             images.pop()
 
     return extend(0)
+
+
+def _exponent_sum(images, x):
+    """The exponent vector sum of images[k] x[k] over the letters of x:
+    the image of x modulo the derived subgroup."""
+    return tuple(
+        sum(e * img[t] for img, e in zip(images, x) if e) for t in range(len(images[0]))
+    )
 
 
 def generates_abelianization(c: PcPresentation, elements):
@@ -1426,44 +1436,57 @@ def generates_abelianization(c: PcPresentation, elements):
 
 
 def _table_isomorphisms(d, c, candidates):
-    gens = d.generators()
     if d.order != c.order:
         return
-    wants = [d.element_order(g) for g in gens]
-    orders = {}
-    images = []
+    p = d.qmap.target
+    rels = [[r for r in p.relations() if r[0] == i] for i in range(p.n)]
+    images = [None] * p.n
 
-    def extend(k, phi):
-        if k == len(gens):
-            yield tuple(phi[x] for x in range(d.order))
+    def extend(i, phi):
+        if i < 0:
+            yield tuple(phi)
             return
-        for img in candidates[k]:
-            if img not in orders:
-                orders[img] = c.element_order(img)
-            if orders[img] != wants[k]:
-                continue
-            images.append(img)
-            ext = _extend_table_map(d, c, gens[: k + 1], images)
-            if ext is not None and len(set(ext.values())) == len(ext):
-                yield from extend(k + 1, ext)
-            images.pop()
+        for img in candidates[p.n - 1 - i]:
+            images[i] = img
+            block = _table_block(d, c, images, i, rels[i], phi)
+            if block is not None and len(set(block)) == len(block):
+                yield from extend(i - 1, block)
 
-    yield from extend(0, {d.identity(): c.identity()})
+    yield from extend(p.n - 1, [c.identity()])
 
 
-def _extend_table_map(d, c, gens, images):
-    """The homomorphism on the subgroup generated by gens that sends gens
-    to images, as a dict, or None when there is none."""
-    phi = {d.identity(): c.identity()}
-    frontier = [d.identity()]
-    for x in frontier:
-        for g, img in zip(gens, images):
-            y, v = d.multiply(x, g), c.multiply(phi[x], img)
-            if y not in phi:
-                phi[y] = v
-                frontier.append(y)
-            elif phi[y] != v:
-                return None
+def _table_block(d, c, images, i, rels, phi):
+    """The images of the block <g_i, ..., g_{n-1}> of the table d, given
+    phi, the images of the block <g_{i+1}, ...> before it, and images[i:],
+    the images of the pc generators from g_i on; None when one of rels,
+    the relations (i, .) of the presentation d numbers, fails.  Their
+    right sides lie in the block before, so phi gives their images.
+    Element e m_{i+1} ... m_{n-1} + y of the block is g_i^e y, so its
+    image is images[i]^e phi[y]."""
+    p = d.qmap.target
+    if any(_relation_lhs(p, c, images, r) != phi[d.index_of(r[2])] for r in rels):
+        return None
+    block = list(phi)
+    x = img = images[i]
+    for _ in range(1, p.orders[i]):
+        block.extend(c.multiply(x, y) for y in phi)
+        x = c.multiply(x, img)
+    return block
+
+
+def table_map(d, c, images):
+    """The image of every element of the table d, as a list indexed by
+    element, under the homomorphism into c that sends d.generators() to
+    images; None when the images break a relation of the presentation d
+    numbers."""
+    p = d.qmap.target
+    pc_images = list(reversed(images))
+    phi = [c.identity()]
+    for i in reversed(range(p.n)):
+        rels = [r for r in p.relations() if r[0] == i]
+        phi = _table_block(d, c, pc_images, i, rels, phi)
+        if phi is None:
+            return None
     return phi
 
 
@@ -1533,7 +1556,15 @@ def _element_order(p, x, cap):
 
 def torsion_data(p: PcPresentation, cap=10**6) -> TorsionData:
     """The (finite) torsion subgroup, all its elements, and a verified m
-    with G^m meeting tau trivially."""
+    with G^m meeting tau trivially; computed once per presentation and
+    cap."""
+    td = p._torsion_data.get(cap)
+    if td is None:
+        td = p._torsion_data[cap] = _compute_torsion_data(p, cap)
+    return td
+
+
+def _compute_torsion_data(p, cap):
     if p.is_abelian():
         tau = Subgroup(p, _abelian_torsion_gens(p))
         tau_elements = tau.elements(cap=cap)

@@ -414,27 +414,20 @@ def verify_abelian_witness(g: AbelianModule, s, t, witness) -> bool:
 
 def whitehead_finite(f: FiniteGroupTable, s, t, cap=4096) -> Verdict:
     """Complete decision over a finite group by brute force over all
-    automorphisms and all conjugators.  Never returns Unknown."""
+    automorphisms; the conjugators come from one lookup per tuple in the
+    conjugates of T_i, built before the sweep.  Never returns Unknown."""
     s = tuple_system(f, s)
     t = tuple_system(f, t)
     _check_shapes(s, t)
     if f.order > cap:
         raise CapExceeded(f"group order {f.order} exceeds cap {cap}")
     gens = f.generators()
+    orbits = [least_conjugators(f, ttup) for ttup in t.tuples]
     aut_order = 0
     for phi in isomorphisms(f, f, [range(f.order)] * len(gens)):
         aut_order += 1
-        conj = []
-        for stup, ttup in zip(s.tuples, t.tuples):
-            g = None
-            for c in range(f.order):
-                if all(phi[a] == f.conjugate(b, c) for a, b in zip(stup, ttup)):
-                    g = c
-                    break
-            if g is None:
-                break
-            conj.append(g)
-        else:
+        conj = [orbit.get(tuple(phi[a] for a in stup)) for stup, orbit in zip(s.tuples, orbits)]
+        if None not in conj:
             return Verdict(
                 EQUIVALENT,
                 witness={
@@ -452,6 +445,15 @@ def whitehead_finite(f: FiniteGroupTable, s, t, cap=4096) -> Verdict:
             "order": f.order,
         },
     )
+
+
+def least_conjugators(f: FiniteGroupTable, tup):
+    """Every conjugate tup^c of the tuple, as a tuple, mapped to its
+    least conjugator c."""
+    orbit = {}
+    for c in range(f.order):
+        orbit.setdefault(tuple(f.conjugate(b, c) for b in tup), c)
+    return orbit
 
 
 def verify_finite_witness(f: FiniteGroupTable, s, t, witness) -> bool:
@@ -511,7 +513,10 @@ def _box_elements(p: PcPresentation, box):
 
 
 def _witness_search(p, s, t, box):
-    for images in isomorphisms(p, p, [_box_elements(p, box)] * p.n):
+    # sigma(x) = y^g forces sigma(x) = y modulo [G, G], entry by entry
+    pairs = [(x, y) for stup, ttup in zip(s.tuples, t.tuples) for x, y in zip(stup, ttup)]
+    candidates = [_box_elements(p, box)] * p.n
+    for images in isomorphisms(p, p, candidates, congruences=pairs):
         h = GroupHom(p, p, images, check=False)
         conj = []
         for stup, ttup in zip(s.tuples, t.tuples):

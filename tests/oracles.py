@@ -18,6 +18,7 @@ from nilcert.nilgroup import (
     Subgroup,
     isomorphisms,
     quotient_table,
+    simultaneous_conjugator,
 )
 from nilcert.outsep import SurvivalCheck
 from nilcert.zmod import CapExceeded, IndexInfinite
@@ -433,3 +434,102 @@ def verbal_power_subgroup_over_all_elements(p, k, cap=10**6):
     # the k-th powers are a conjugation-invariant set, so they generate a
     # normal subgroup of G/H, and its preimage is G^k
     return qmap.preimage(Subgroup(q, [q.power(e, k) for e in qmap.elements(cap)]))
+
+
+def table_element_order(table, i):
+    """The order of element i of a table, by repeated multiplication."""
+    k = 1
+    x = i
+    while x:
+        x = table.multiply(x, i)
+        k += 1
+        if k > table.order:
+            raise ValueError("order computation overran the group")
+    return k
+
+
+def greedy_generators(table):
+    """Greedy generating set of a table: repeatedly the least element
+    outside the subgroup generated so far."""
+    gens = []
+    reach = table.closure(gens)
+    for i in range(table.order):
+        if len(reach) == table.order:
+            break
+        if i not in reach:
+            gens.append(i)
+            reach = table.closure(gens)
+    return tuple(gens)
+
+
+def extend_table_map(d, c, gens, images):
+    """The homomorphism on the subgroup of the table d generated by gens
+    that sends gens to images, as a dict, or None when there is none: the
+    Cayley graph closed from the identity, every edge checked."""
+    phi = {d.identity(): c.identity()}
+    frontier = [d.identity()]
+    for x in frontier:
+        for g, img in zip(gens, images):
+            y, v = d.multiply(x, g), c.multiply(phi[x], img)
+            if y not in phi:
+                phi[y] = v
+                frontier.append(y)
+            elif phi[y] != v:
+                return None
+    return phi
+
+
+def closure_table_isomorphisms(d, c, candidates):
+    """Every isomorphism between two tables, as the image of every element
+    of d, that sends the k-th of d.generators() into candidates[k], in
+    lexicographic order: candidates of the generator's element order only,
+    and the map closed over the subgroup generated so far after each one."""
+    gens = d.generators()
+    if d.order != c.order:
+        return
+    wants = [table_element_order(d, g) for g in gens]
+    images = []
+
+    def extend(k, phi):
+        if k == len(gens):
+            yield tuple(phi[x] for x in range(d.order))
+            return
+        for img in candidates[k]:
+            if table_element_order(c, img) != wants[k]:
+                continue
+            images.append(img)
+            ext = extend_table_map(d, c, gens[: k + 1], images)
+            if ext is not None and len(set(ext.values())) == len(ext):
+                yield from extend(k + 1, ext)
+            images.pop()
+
+    yield from extend(0, {d.identity(): c.identity()})
+
+
+def conjugator_by_scan(f, stup, ttup, phi):
+    """The least c with phi(S) = T^c entry by entry in the table f, or
+    None."""
+    for c in range(f.order):
+        if all(phi[a] == f.conjugate(b, c) for a, b in zip(stup, ttup)):
+            return c
+    return None
+
+
+def unpruned_witness_search(p, s, t, box):
+    """The first automorphism in the box sweep, with its conjugators, that
+    carries each tuple of s onto a conjugate of the matching tuple of t,
+    with no pruning in the abelianization."""
+    for images in isomorphisms(p, p, [whitehead._box_elements(p, box)] * p.n):
+        h = GroupHom(p, p, images, check=False)
+        conj = []
+        for stup, ttup in zip(s, t):
+            g = simultaneous_conjugator(p, list(ttup), [h.apply(x) for x in stup])
+            if g is None:
+                break
+            conj.append(g)
+        else:
+            return {
+                "generator_images": [list(v) for v in h.images],
+                "conjugators": [list(g) for g in conj],
+            }
+    return None

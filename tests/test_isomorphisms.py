@@ -1,17 +1,27 @@
 """The isomorphism enumerator ``nilgroup.isomorphisms`` against the slow
 references in ``oracles.py``: the same maps in the same order."""
 
+import math
 import random
 
 import pytest
 
-from oracles import box_automorphisms, out_finite, table_isomorphisms
+from oracles import (
+    box_automorphisms,
+    closure_table_isomorphisms,
+    extend_table_map,
+    greedy_generators,
+    out_finite,
+    table_isomorphisms,
+)
 from nilcert.nilgroup import (
     GroupHom,
     PcPresentation,
     Subgroup,
     isomorphisms,
     quotient_table,
+    table_map,
+    verbal_power_subgroup,
 )
 from nilcert.whitehead import _box_elements, whitehead_nilpotent
 
@@ -85,3 +95,117 @@ def test_witness_search_tests_few_whole_maps(monkeypatch):
     verdict = whitehead_nilpotent(GROUPS["H3"], [((1, 0, 0),)], [((1, 0, 1),)])
     assert verdict.is_equivalent()
     assert len(tested) <= 1000
+
+
+def _h3(k=1, m=None):
+    """x, y, z with y^x = y z^k, z of order m (None: infinite)."""
+    return PcPresentation(["x", "y", "z"], [None, None, m], conj={(0, 1): (0, 1, k)})
+
+
+def _cyclic_ext(m, u):
+    """a, b with b of order m and b^a = b^u."""
+    return PcPresentation(["a", "b"], [None, m], conj={(0, 1): (0, u)})
+
+
+POWER_QUOTIENT_GROUPS = {
+    "H3": _h3(), "H3inv": _h3(-1), "H3sq": _h3(-2), "Q": _h3(m=2), "Q3": _h3(m=3),
+    "M": _cyclic_ext(4, 3), "M9": _cyclic_ext(9, 4),
+}
+
+
+def _power_quotients():
+    """G/G^k at k = 2, 3, 4 for every group of POWER_QUOTIENT_GROUPS."""
+    return {
+        (name, k): quotient_table(p, verbal_power_subgroup(p, k))
+        for name, p in sorted(POWER_QUOTIENT_GROUPS.items())
+        for k in (2, 3, 4)
+    }
+
+
+def _shuffled_candidates(rng, table, order):
+    """One candidate list per generator of table: every element of a group
+    of the given order, or, half the time, a random shuffled subset."""
+    out = []
+    for _ in table.generators():
+        cs = list(range(order))
+        if rng.random() < 0.5:
+            cs = rng.sample(cs, rng.randint(1, order))
+        out.append(cs)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_table_enumerator_matches_the_closure_enumerator(k):
+    """The relation-checked block enumerator against the Cayley-closure
+    one: the same maps in the same order, with every element as candidate
+    and with random shuffled candidate lists."""
+    rng = random.Random(1500 + k)
+    tables = {name: t for (name, e), t in _power_quotients().items() if e == k}
+    for t1 in tables.values():
+        for t2 in tables.values():
+            if t2.order != t1.order or (t2 is not t1 and rng.random() < 0.5):
+                continue
+            full = [range(t2.order)] * len(t1.generators())
+            for candidates in (full, _shuffled_candidates(rng, t1, t2.order)):
+                fast = list(isomorphisms(t1, t2, candidates))
+                assert fast == list(closure_table_isomorphisms(t1, t2, candidates))
+    assert len(tables) == 7
+
+
+def test_table_enumerator_between_two_different_tables():
+    """Isomorphisms between two different tables of one order: H3 and H3inv
+    modulo cubes (order 27), H3 and Q modulo fourth powers (order 32), M
+    and Q3 modulo fourth powers (order 16)."""
+    q = _power_quotients()
+    counts = []
+    for a, b in ((("H3", 3), ("H3inv", 3)), (("H3", 4), ("Q", 4)), (("M", 4), ("Q3", 4))):
+        t1, t2 = q[a], q[b]
+        full = [range(t2.order)] * len(t1.generators())
+        fast = list(isomorphisms(t1, t2, full))
+        assert fast == list(closure_table_isomorphisms(t1, t2, full))
+        counts.append(len(fast))
+    assert counts == [432, 384, 0]
+
+
+def test_table_generators_are_the_greedy_generators():
+    """The pc generators tail first equal the greedy generating set on the
+    tables these tests build: the power quotients, the random quotients
+    and cyclic groups."""
+    rng = random.Random(2005)
+    tables = list(_power_quotients().values()) + [_random_quotient(rng) for _ in range(24)]
+    for n in (1, 2, 5, 9):
+        p = PcPresentation(["a"], [n]) if n > 1 else PcPresentation([], [])
+        tables.append(quotient_table(p, Subgroup(p, [])))
+    for table in tables:
+        assert table.generators() == greedy_generators(table)
+        q = table.qmap.target
+        for k, g in enumerate(table.generators()):
+            block = math.prod(q.orders[q.n - 1 - k:])
+            # the first k + 1 generators generate exactly the first elements
+            assert table.closure(table.generators()[: k + 1]) == frozenset(range(block))
+            assert table.elements[g] == q.gen(q.n - 1 - k)
+
+
+def test_table_map_matches_the_cayley_closure():
+    """``table_map`` against the Cayley-closure reference on random
+    generator images into tables and into a pc group: the same map, or
+    None from both."""
+    rng = random.Random(1428)
+    q = _power_quotients()
+    h3 = POWER_QUOTIENT_GROUPS["H3"]
+    homs = 0
+    for t1 in q.values():
+        gens = t1.generators()
+        for t2 in list(q.values()) + [h3]:
+            for _ in range(6):
+                if t2 is h3:
+                    images = [h3.random_element(rng, 1) for _ in gens]
+                else:
+                    images = [rng.randrange(t2.order) for _ in gens]
+                fast = table_map(t1, t2, images)
+                slow = extend_table_map(t1, t2, gens, images)
+                assert (fast is None) == (slow is None)
+                if fast is not None:
+                    homs += 1
+                    assert fast == [slow[x] for x in range(t1.order)]
+    assert homs > 100

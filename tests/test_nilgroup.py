@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import table_element_order
 from nilcert.nilgroup import (
     GroupHom,
     Inconsistent,
@@ -24,6 +25,7 @@ from nilcert.nilgroup import (
     upper_central_series,
     verbal_power_subgroup,
 )
+from nilcert.zmod import CapExceeded
 
 
 def heisenberg():
@@ -329,7 +331,7 @@ def test_quotient_table_order_27():
     t = quotient_table(p, k)
     assert t.order == 27
     # exponent 3 group: all non-identity elements have order 3
-    assert {t.element_order(i) for i in range(t.order)} == {1, 3}
+    assert {table_element_order(t, i) for i in range(t.order)} == {1, 3}
     gx = t.index_of(t.qmap.project((1, 0, 0)))
     gy = t.index_of(t.qmap.project((0, 1, 0)))
     assert len(t.closure([gx, gy])) == 27
@@ -348,7 +350,7 @@ def test_quotient_table_abelian():
     k = Subgroup(p, [(3, 0), (0, 3)])
     t = quotient_table(p, k)
     assert t.order == 9
-    assert {t.element_order(i) for i in range(t.order)} == {1, 3}
+    assert {table_element_order(t, i) for i in range(t.order)} == {1, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +540,19 @@ def test_torsion_data_nonabelian_with_torsion():
     assert td.verify_embedding()
 
 
+def test_torsion_data_is_computed_once_per_presentation_and_cap():
+    p = PcPresentation(["x", "y", "z"], [None, None, 2], conj={(0, 1): (0, 1, 1)})
+    td = torsion_data(p)
+    assert torsion_data(p) is td
+    assert torsion_data(p, cap=1000) is not td
+    assert torsion_data(p, cap=1000).m == td.m == 4
+    # a new presentation computes its own
+    q = PcPresentation(["x", "y", "z"], [None, None, 2], conj={(0, 1): (0, 1, 1)})
+    assert torsion_data(q) is not td
+    with pytest.raises(CapExceeded):
+        torsion_data(p, cap=1)
+
+
 # ---------------------------------------------------------------------------
 # verbal subgroups of powers
 
@@ -588,7 +603,7 @@ def cyclic_table(m):
 def test_finite_table_from_rows():
     t = cyclic_table(3)
     assert t.order == 3
-    assert t.element_order(1) == 3
+    assert table_element_order(t, 1) == 3
     assert t.invert(1) == 2
     assert t.multiply(1, 2) == 0
 

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from nilcert.nilgroup import PcPresentation, Subgroup, quotient_table
+from nilcert.nilgroup import GroupHom, PcPresentation, Subgroup, isomorphisms, quotient_table
 from nilcert.whitehead import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     UNKNOWN,
     TupleSystem,
     Verdict,
+    _box_elements,
+    _witness_search,
+    least_conjugators,
     refutation_exponents,
     tuple_system,
     verify_abelian_witness,
@@ -23,7 +26,12 @@ from nilcert.whitehead import (
 )
 from nilcert.zmod import AbelianModule, CapExceeded
 
-from oracles import orbit_matches_finite, regular_representation
+from oracles import (
+    conjugator_by_scan,
+    orbit_matches_finite,
+    regular_representation,
+    unpruned_witness_search,
+)
 
 
 def heisenberg():
@@ -524,4 +532,92 @@ def test_nilpotent_non_unit_diagonal_witness():
     v = whitehead_nilpotent(p, s, t, budget=1)
     assert v.is_equivalent()
     assert v.witness == {"generator_images": [[1, 1], [0, 1]], "conjugators": [[0, 0]]}
+    assert verify_nilpotent_witness(p, s, t, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# the conjugator lookup and the sweep pruned in the abelianization
+
+
+def test_least_conjugators_match_the_conjugator_scan():
+    """One lookup in the conjugates of a T tuple gives the least conjugator
+    that a scan over the whole group finds, or None with it."""
+    rng = random.Random(15)
+    p = heisenberg()
+    for kernel in ([(3, 0, 0), (0, 3, 0), (0, 0, 3)], [(2, 0, 0), (0, 4, 0), (0, 0, 2)]):
+        table = quotient_table(p, Subgroup(p, kernel, normal_closure=True))
+        automorphisms = list(isomorphisms(table, table, [range(table.order)] * 3))
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            ttup = tuple(rng.randrange(table.order) for _ in range(n))
+            orbit = least_conjugators(table, ttup)
+            for phi in rng.sample(automorphisms, 5):
+                stup = tuple(rng.randrange(table.order) for _ in range(n))
+                into_orbit = rng.random() < 0.5
+                if into_orbit:
+                    inv = {y: x for x, y in enumerate(phi)}
+                    c = rng.randrange(table.order)
+                    stup = tuple(inv[table.conjugate(b, c)] for b in ttup)
+                got = orbit.get(tuple(phi[a] for a in stup))
+                assert got == conjugator_by_scan(table, stup, ttup, phi)
+                assert got is not None or not into_orbit
+
+
+def _random_instance(rng, p):
+    """S of one or two tuples of random elements and T = sigma(S)
+    conjugated tuple by tuple, sigma a random automorphism from box 1;
+    a third of the time one entry of T is replaced by a random element."""
+    sigma = rng.choice(list(isomorphisms(p, p, [_box_elements(p, 1)] * p.n)))
+    h = GroupHom(p, p, sigma, check=False)
+    s, t = [], []
+    for _ in range(rng.randint(1, 2)):
+        tup = [p.random_element(rng, 2) for _ in range(rng.randint(1, 2))]
+        g = p.random_element(rng, 2)
+        s.append(tuple(tup))
+        t.append(tuple(p.conjugate(h.apply(x), p.invert(g)) for x in tup))
+    if rng.random() < 0.33:
+        t[0] = (p.random_element(rng, 2),) + t[0][1:]
+    return tuple_system(p, s), tuple_system(p, t)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_pruned_sweep_finds_the_unpruned_first_witness(budget):
+    """The box sweep pruned by sigma(s) = t modulo [G, G] returns the same
+    first witness (or none) as the sweep without it."""
+    rng = random.Random(1311 + budget)
+    groups = [
+        heisenberg(),
+        PcPresentation(["x", "y", "z"], [None, None, 2], conj={(0, 1): (0, 1, 1)}),
+        PcPresentation(["a", "b"], [None, 4], conj={(0, 1): (0, 3)}),
+        PcPresentation(["a", "b"], [None, None]),
+    ]
+    # the unpruned sweep over H3's box 2 takes seconds, so once only there
+    counts = [6, 6, 6, 6] if budget == 1 else [1, 3, 3, 3]
+    outcomes = []
+    for p, count in zip(groups, counts):
+        for _ in range(count):
+            s, t = _random_instance(rng, p)
+            pruned = _witness_search(p, s, t, budget)
+            assert pruned == unpruned_witness_search(p, s.tuples, t.tuples, budget)
+            outcomes.append(pruned is not None)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_nilpotent_h5_a_vs_az_witness():
+    """H5 (a) vs (a z) at budget 1: the sweep pruned in H5^ab answers with
+    the first witness of the box-1 sweep instead of running for minutes."""
+    p = PcPresentation(
+        ["a", "b", "c", "d", "z"], [None] * 5,
+        conj={(0, 1): (0, 1, 0, 0, 1), (2, 3): (0, 0, 0, 1, 1)},
+    )
+    s, t = [((1, 0, 0, 0, 0),)], [((1, 0, 0, 0, 1),)]
+    v = whitehead_nilpotent(p, s, t, budget=1)
+    assert v.is_equivalent()
+    assert v.witness == {
+        "generator_images": [
+            [1, 0, 0, 0, -1], [-1, -1, -1, -1, -1], [-1, 0, 0, -1, -1],
+            [0, 0, -1, -1, -1], [0, 0, 0, 0, -1],
+        ],
+        "conjugators": [[0, 2, 0, 0, 0]],
+    }
     assert verify_nilpotent_witness(p, s, t, v.witness)
