@@ -22,8 +22,8 @@ from .formats import (
     format_word,
     gog_from_data,
     group_from_spec,
-    inline_group_spec,
     load_gog,
+    load_group_spec,
     load_pcp,
     parse_element,
     parse_free_word,
@@ -47,6 +47,7 @@ from .outsep import (
     CongruenceCertificate,
     OuterAutoClass,
     elusive_elements,
+    elusive_records,
     separate_torsion,
 )
 from .whitehead import solve_whitehead, verify_quotient_refutation, verify_whitehead_witness
@@ -197,22 +198,10 @@ def cmd_torsion(args):
     return result, payload, lines, 0, ["computed the torsion subgroup"]
 
 
-def _elusive_data(classes):
-    return [
-        {
-            "coset": list(c.coset),
-            "outer_order": c.outer_order(),
-            "representative_images": [list(v) for v in c.representative.images],
-            "power_conjugator": list(c.power_conjugator),
-        }
-        for c in classes
-    ]
-
-
 def cmd_elusive(args):
     pcp = _read_pcp(args.pcp)
     classes = elusive_elements(pcp.presentation)
-    result = {"elusive": _elusive_data(classes)}
+    result = {"elusive": elusive_records(classes)}
     payload = {
         "kind": "elusive",
         "problem": {"group_pcp": serialize_pcp(pcp)},
@@ -265,8 +254,7 @@ def _whitehead_parts(instance, base_dir, cap):
     for key in ("group", "s", "t"):
         if key not in instance:
             raise CliError("parse", f"instance is missing {key!r}")
-    spec = inline_group_spec(instance["group"], base_dir)
-    group = group_from_spec(spec, base_dir, cap=cap)
+    spec, group = load_group_spec(instance["group"], base_dir, cap)
     s = [[parse_element(group, x) for x in tup] for tup in instance["s"]]
     t = [[parse_element(group, x) for x in tup] for tup in instance["t"]]
     return spec, group, s, t
@@ -434,7 +422,7 @@ def _verify_torsion(problem, result, transcript):
 
 def _verify_elusive(problem, result, transcript):
     p = parse_pcp(problem["group_pcp"]).presentation
-    fresh = _elusive_data(elusive_elements(p))
+    fresh = elusive_records(elusive_elements(p))
     if fresh != result["elusive"]:
         raise VerifyFailure("elusive class list does not recompute")
     for entry in result["elusive"]:

@@ -33,11 +33,17 @@ identity.  The serializer writes a ``pow`` line for every finite-order
 generator, ``pow b = 1`` included.  Parse errors carry the line and column
 of the offending token.
 
-A .gog file is JSON: group handles under "groups" (inline abelian
-specs, or polycyclic/finite specs given by inline text or a .pcp file
-path), vertices with optional black/white colors, and one entry per
-geometric edge with attaching maps as generator-image vectors (element
-indices for finite vertex groups).
+A group spec, in a .gog file or a Whitehead instance, is a JSON object
+with a "kind": "abelian" with "free_rank" and "invariant_factors", or
+"pc" or "finite" with the presentation as inline "text" or as a .pcp
+"file" path.  A "finite" spec becomes the numbered table of its
+presentation, which must have no infinite-order generator.  Loading a
+spec parses its text once; its canonical form, which reports embed,
+holds that parse re-serialized as inline text.
+
+A .gog file is JSON: group specs under "groups", vertices with optional
+black/white colors, and one entry per geometric edge with attaching maps
+as generator-image vectors (element indices for finite vertex groups).
 """
 
 import json
@@ -278,9 +284,10 @@ def presentations_equal(a: PcPresentation, b: PcPresentation) -> bool:
 # group specs shared by .gog files and instance files
 
 
-def inline_group_spec(spec, base_dir="."):
-    """Canonical form of a group spec with any file reference replaced by
-    the (re-serialized) inline text, so payloads are self-contained."""
+def load_group_spec(spec, base_dir, cap):
+    """(canonical spec, group handle) of a spec, from one parse.  The
+    canonical spec of a pc or finite group holds its re-serialized text
+    in place of any file reference, so payloads are self-contained."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FormatError("group spec must be an object with a 'kind'")
     kind = spec["kind"]
@@ -291,38 +298,37 @@ def inline_group_spec(spec, base_dir="."):
             raise FormatError("free_rank must be a nonnegative integer")
         if not all(isinstance(m, int) and m >= 2 for m in factors):
             raise FormatError("invariant factors must be integers >= 2")
-        return {"kind": "abelian", "free_rank": fr, "invariant_factors": list(factors)}
-    if kind in ("pc", "finite"):
-        if "text" in spec:
-            text = spec["text"]
-        elif "file" in spec:
-            path = os.path.join(base_dir, spec["file"])
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as ex:
-                raise FormatError(f"cannot read {spec['file']!r}: {ex}")
-        else:
-            raise FormatError(f"{kind} group spec needs 'text' or 'file'")
-        canonical = serialize_pcp(parse_pcp(text))
-        return {"kind": kind, "text": canonical}
-    raise FormatError(f"unknown group kind {kind!r}")
+        canonical = {"kind": "abelian", "free_rank": fr, "invariant_factors": list(factors)}
+        return canonical, AbelianModule(fr, factors)
+    if kind not in ("pc", "finite"):
+        raise FormatError(f"unknown group kind {kind!r}")
+    if "text" in spec:
+        text = spec["text"]
+    elif "file" in spec:
+        path = os.path.join(base_dir, spec["file"])
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as ex:
+            raise FormatError(f"cannot read {spec['file']!r}: {ex}")
+    else:
+        raise FormatError(f"{kind} group spec needs 'text' or 'file'")
+    pcp = parse_pcp(text)
+    canonical = {"kind": kind, "text": serialize_pcp(pcp)}
+    pres = pcp.presentation
+    if kind == "pc":
+        return canonical, pres
+    if any(m is None for m in pres.orders):
+        raise FormatError("finite group spec has an infinite-order generator")
+    try:
+        return canonical, quotient_table(pres, Subgroup(pres, []), cap=cap)
+    except CapExceeded as ex:
+        raise FormatError(f"finite group too large: {ex}")
 
 
 def group_from_spec(spec, base_dir=".", cap=10**6):
     """Build the group handle described by a spec."""
-    spec = inline_group_spec(spec, base_dir)
-    if spec["kind"] == "abelian":
-        return AbelianModule(spec["free_rank"], spec["invariant_factors"])
-    pres = parse_pcp(spec["text"]).presentation
-    if spec["kind"] == "pc":
-        return pres
-    if any(m is None for m in pres.orders):
-        raise FormatError("finite group spec has an infinite-order generator")
-    try:
-        return quotient_table(pres, Subgroup(pres, []), cap=cap)
-    except CapExceeded as ex:
-        raise FormatError(f"finite group too large: {ex}")
+    return load_group_spec(spec, base_dir, cap)[1]
 
 
 def parse_element(group, value):
@@ -373,8 +379,7 @@ def gog_from_data(raw, base_dir=".", cap=10**6) -> GogFile:
     specs = {}
     handles = {}
     for gname, spec in groups_raw.items():
-        specs[gname] = inline_group_spec(spec, base_dir)
-        handles[gname] = group_from_spec(specs[gname], base_dir, cap=cap)
+        specs[gname], handles[gname] = load_group_spec(spec, base_dir, cap)
 
     vnames = []
     vgroup_ref = {}

@@ -755,13 +755,16 @@ class Subgroup:
         return total
 
     def elements(self, cap=100000):
-        """All elements of a finite subgroup, deterministically ordered."""
+        """All elements of a finite subgroup, in lexicographic order."""
         total = self.order()
         if total > cap:
             raise CapExceeded(f"subgroup order {total} exceeds cap {cap}")
         p = self.parent
         out = [p.identity()]
-        for d, ro in zip(sorted(self._piv), self.relative_orders()):
+        # last pivot first: in each product h^e b, b in the subgroup of the
+        # later pivots, h^e lies left of b's support, so collection moves
+        # little
+        for d, ro in reversed(list(zip(sorted(self._piv), self.relative_orders()))):
             h = self._piv[d]
             powers = [p.identity()]
             for _ in range(ro - 1):
@@ -926,14 +929,10 @@ class QuotientMap:
 
     def elements(self, cap=10**6):
         """Every element of a finite target, as its normal forms in
-        lexicographic order; each one must come back from lift then
-        project unchanged.  The cap is checked against the product of the
-        relative orders before anything is enumerated."""
+        lexicographic order.  The cap is checked against the product of
+        the relative orders before anything is enumerated."""
         self.order(cap)
-        elems = list(itertools.product(*(range(m) for m in self.target.orders)))
-        if any(self.project(self.lift(e)) != e for e in elems):
-            raise RuntimeError("transversal enumeration mismatch")
-        return elems
+        return list(itertools.product(*(range(m) for m in self.target.orders)))
 
 
 class FiniteGroupTable:
@@ -1579,13 +1578,7 @@ def _compute_torsion_data(p, cap):
         elements = []
         for tbar in sub_td.tau_elements:
             r = qmap.lift(tbar)
-            e = 1
-            x = tbar
-            while any(x):
-                x = qmap.target.multiply(x, tbar)
-                e += 1
-                if e > cap:
-                    raise CapExceeded("torsion order overran the cap")
+            e = _element_order(qmap.target, tbar, cap)
             czc = zmodule.coords(to_z(p.power(r, e)))
             fr = zmodule.module.free_rank
             if any(c % e for c in czc[:fr]):
@@ -1634,18 +1627,16 @@ def verbal_power_subgroup(p: PcPresentation, k: int, cap=10**6) -> Subgroup:
     h = Subgroup(p, [p.power(p.gen(i), k) for i in range(p.n)], normal_closure=True)
     qmap = QuotientMap(p, h, check_normal=False)
     q = qmap.target
-    elems = qmap.elements(cap)
+    order = qmap.order(cap)
     gens = []
-    for prime, part in _prime_powers(len(elems)):
-        rest = len(elems) // part
+    for prime, part in _prime_powers(order):
+        rest = order // part
         e = rest * pow(rest, -1, part)  # 1 mod part, 0 mod rest
         sylow = [q.power(g, e) for g in q.generators()]
         if k % prime:
             gens.extend(sylow)
         else:
-            # the elements of P: all of G/H when it is a p-group
-            members = elems if rest == 1 else Subgroup(q, sylow).elements(cap)
-            gens.extend(q.power(x, k) for x in members)
+            gens.extend(q.power(x, k) for x in Subgroup(q, sylow).elements(cap))
     # each factor is characteristic in its Sylow subgroup, so they generate
     # a normal subgroup of G/H, and its preimage is G^k
     return qmap.preimage(Subgroup(q, gens))

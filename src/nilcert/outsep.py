@@ -348,41 +348,44 @@ def _elusive_with_audit(p: PcPresentation):
     return classes, audit
 
 
+def elusive_records(classes):
+    """The JSON record of each elusive class, as the elusive and
+    separate-torsion reports carry it."""
+    return [
+        {
+            "coset": list(c.coset),
+            "outer_order": c.outer_order(),
+            "representative_images": [list(v) for v in c.representative.images],
+            "power_conjugator": list(c.power_conjugator),
+        }
+        for c in classes
+    ]
+
+
 # ---------------------------------------------------------------------------
 # good enough subgroups
 
 
-def _same_presentation(a: PcPresentation, b: PcPresentation) -> bool:
-    return (
-        a.names == b.names
-        and a.orders == b.orders
-        and a.conj == b.conj
-        and a.powers == b.powers
-    )
-
-
-def good_enough_subgroup(p: PcPresentation, h: Subgroup, h0: Subgroup,
-                         k0: Subgroup, kmax=64, cap=10**6) -> Subgroup:
-    """A characteristic finite index subgroup P0 of p with P0 meet h
-    contained in h0 and with image of P0 in p/h contained in k0.
+def good_enough_subgroup(qm: QuotientMap, h0: Subgroup, k0: Subgroup,
+                         kmax=64, cap=10**6) -> Subgroup:
+    """A characteristic finite index subgroup P0 of p = qm.source with P0
+    meet h contained in h0 and with image of P0 in p/h contained in k0,
+    h = qm.kernel.
 
     h must be characteristic in p with h0 of finite index in h; k0 is a
-    finite index subgroup of the quotient presentation of p by h.  The
-    search scans the power subgroups p^k (characteristic for free) for
-    increasing k and returns the first one passing both containment
-    checks, each verified exactly: the image check by membership of
-    generators, the intersection check by computing p^k meet h through
-    Schreier generators.
+    finite index subgroup of qm.target.  The search scans the power
+    subgroups p^k (characteristic for free) for increasing k and returns
+    the first one passing both containment checks, each verified exactly:
+    the image check by membership of generators, the intersection check
+    by computing p^k meet h through Schreier generators.
     """
-    if h.parent is not p or h0.parent is not p:
-        raise ValueError("h and h0 must be subgroups of p")
+    p, h = qm.source, qm.kernel
+    if h0.parent is not p:
+        raise ValueError("h0 must be a subgroup of the source of qm")
+    if k0.parent is not qm.target:
+        raise ValueError("k0 must be a subgroup of the target of qm")
     if not h.contains_subgroup(h0):
         raise ValueError("h0 must be contained in h")
-    qm = QuotientMap(p, h, check_normal=True)
-    if k0.parent is not qm.target:
-        if not _same_presentation(k0.parent, qm.target):
-            raise ValueError("k0 does not live in the quotient of p by h")
-        k0 = Subgroup(qm.target, list(k0.gens))
     for k in range(1, kmax + 1):
         v = verbal_power_subgroup(p, k, cap=cap)
         if not all(k0.contains(qm.project(g)) for g in v.gens):
@@ -423,10 +426,10 @@ class SurvivalCheck:
         }
 
 
-def survives(a: OuterAutoClass, p0: Subgroup, cap=10**6) -> SurvivalCheck:
-    """Whether the class stays non-inner in the quotient Q by p0.
+def survives(a: OuterAutoClass, qmap: QuotientMap, cap=10**6) -> SurvivalCheck:
+    """Whether the class stays non-inner in the quotient Q = qmap.target.
 
-    p0 must be normal, of finite index, and preserved by the
+    qmap.kernel must be of finite index and preserved by the
     representative (re-checked on generators).  The generators and their
     images under the representative are projected into Q's own pc
     presentation, and ``simultaneous_conjugator`` decides whether one
@@ -438,13 +441,13 @@ def survives(a: OuterAutoClass, p0: Subgroup, cap=10**6) -> SurvivalCheck:
     is enumerated (IndexInfinite or CapExceeded as for a quotient
     table)."""
     p = a.group
-    if p0.parent is not p:
-        raise ValueError("subgroup parent mismatch")
+    if qmap.source is not p:
+        raise ValueError("quotient source mismatch")
     rep = a.representative
+    p0 = qmap.kernel
     for g in p0.gens:
         if not p0.contains(rep.apply(g)):
             raise ValueError("subgroup is not preserved by the representative")
-    qmap = QuotientMap(p, p0)
     order = qmap.order(cap)
     q = qmap.target
     gen_imgs = [qmap.project(p.gen(k)) for k in range(p.n)]
@@ -516,12 +519,13 @@ class CongruenceCertificate:
         final = self.survival_log[-1]["classes"] if self.survival_log else []
         if len(final) != len(self.elusive_data):
             raise RuntimeError("final survival level does not list every elusive class")
+        qmap = QuotientMap(p, sub, check_normal=False) if final else None
         for entry, logged in zip(self.elusive_data, final):
             images = [tuple(v) for v in entry["representative_images"]]
             cls = OuterAutoClass(GroupHom(p, p, images, check=True), check=True)
             if cls.is_trivial():
                 raise RuntimeError("logged elusive class is inner")
-            check = survives(cls, sub)
+            check = survives(cls, qmap)
             if not check.survived:
                 raise RuntimeError("logged elusive class dies in the final quotient")
             if logged != dict(check.as_dict(), coset=entry["coset"]):
@@ -564,7 +568,7 @@ def separate_torsion(p: PcPresentation, max_levels=8, kmax=64,
     n0 = Subgroup(p, [cfrom(g) for g in ccert.subgroup.gens])
     qm = space.central_quotient
     qcert = separate_torsion(qm.target, max_levels=max_levels, kmax=kmax, cap=cap)
-    p0 = good_enough_subgroup(p, nu1, n0, qcert.subgroup, kmax=kmax, cap=cap)
+    p0 = good_enough_subgroup(qm, n0, qcert.subgroup, kmax=kmax, cap=cap)
     chain = [
         {
             "name": "good enough",
@@ -574,15 +578,7 @@ def separate_torsion(p: PcPresentation, max_levels=8, kmax=64,
         }
     ]
     classes = _elusive_with_audit(p)[0]
-    elusive_data = [
-        {
-            "coset": list(c.coset),
-            "outer_order": c.outer_order(),
-            "representative_images": [list(v) for v in c.representative.images],
-            "power_conjugator": list(c.power_conjugator),
-        }
-        for c in classes
-    ]
+    elusive_data = elusive_records(classes)
     survival_log = []
     current = p0
     if classes:
@@ -603,7 +599,8 @@ def separate_torsion(p: PcPresentation, max_levels=8, kmax=64,
                         "index": cand.index_in_parent(),
                     }
                 )
-            outcomes = [survives(c, cand, cap=cap) for c in classes]
+            qmap = QuotientMap(p, cand)
+            outcomes = [survives(c, qmap, cap=cap) for c in classes]
             survival_log.append(
                 {
                     "level": level,

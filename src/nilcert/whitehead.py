@@ -458,17 +458,20 @@ def least_conjugators(f: FiniteGroupTable, tup):
 
 def verify_finite_witness(f: FiniteGroupTable, s, t, witness) -> bool:
     """Independent re-check of a finite witness: the stored map is a
-    bijective homomorphism and carries S onto the conjugated T."""
+    bijection that respects right multiplication by the group's own
+    generators, hence an automorphism, and carries each S_i onto T_i
+    conjugated by the i-th logged element.  The witness's "generators"
+    and "generator_images" are not read."""
     s = tuple_system(f, s)
     t = tuple_system(f, t)
     _check_shapes(s, t)
     phi = list(witness["map"])
     conj = list(witness["conjugators"])
-    if sorted(phi) != list(range(f.order)):
+    if sorted(phi) != list(range(f.order)) or len(conj) != len(s.tuples):
         return False
-    gens = witness.get("generators")
-    if gens is None:
-        gens = range(f.order)
+    if any(c not in range(f.order) for c in conj):
+        return False
+    gens = f.generators()
     for x in range(f.order):
         for g in gens:
             if phi[f.multiply(x, g)] != f.multiply(phi[x], phi[g]):
@@ -645,7 +648,7 @@ def verify_nilpotent_witness(p: PcPresentation, s, t, witness) -> bool:
                      check=True)
     except ValueError:
         return False
-    if not h.is_automorphism():
+    if not h.is_automorphism() or len(witness["conjugators"]) != len(s.tuples):
         return False
     for stup, ttup, g in zip(s.tuples, t.tuples, witness["conjugators"]):
         g = tuple(g)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nilcert import cli, formats
 from nilcert.cli import main
 
 MIXED = """\
@@ -179,6 +180,26 @@ def test_whitehead_report_verifies(group, s, t, expected, tmp_path, capsys):
     assert out == expected
 
 
+def test_whitehead_and_verify_parse_a_pc_group_once(tmp_path, capsys, monkeypatch):
+    texts = []
+    parse_pcp = formats.parse_pcp
+
+    def counting(text):
+        texts.append(text)
+        return parse_pcp(text)
+
+    monkeypatch.setattr(formats, "parse_pcp", counting)
+    monkeypatch.setattr(cli, "parse_pcp", counting)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"group": PC, "s": [[[1, 0, 0]]], "t": [[[1, 0, 1]]]}))
+    report = str(tmp_path / "r.json")
+    assert run(["whitehead", str(path), "--json", "--report", report], capsys)[0] == 0
+    assert texts == [H3]
+    texts.clear()
+    assert run(["verify", report, "--json"], capsys)[0] == 0
+    assert texts == [H3]
+
+
 def test_whitehead_rejects_an_inconsistent_finite_presentation(tmp_path, capsys):
     """A finite group's table numbers the normal forms of its pc
     presentation, so the overlap check on that presentation is the input
@@ -347,6 +368,37 @@ def test_verify_rejects_a_witness_that_breaks_a_commuting_pair(tmp_path, capsys)
     code, out = run(["verify", str(report), "--json"], capsys)
     assert code == 1
     assert json.loads(out)["error"]["code"] == "verify"
+
+
+@pytest.mark.parametrize("generators", [[], [0]])
+def test_verify_rejects_a_forged_finite_witness(generators, tmp_path, capsys):
+    # Z/4, (1) vs (2): the transposition of 1 and 2 respects right
+    # multiplication by the list the forged witness carries, and by no
+    # generating set
+    instance = {"group": {"kind": "finite", "text": "group C\ngen a order 4\n"},
+                "s": [[1]], "t": [[2]]}
+    code, _ = whitehead_round_trip(instance, [], tmp_path, capsys)
+    assert code == 0
+    report = tmp_path / "r.json"
+    data = json.loads(report.read_text())
+    assert data["payload"]["result"]["kind"] == "not_equivalent"
+    data["payload"]["result"] = {"kind": "equivalent", "witness": {
+        "map": [0, 2, 1, 3], "generators": generators, "generator_images": [],
+        "conjugators": [0]}}
+    report.write_text(json.dumps(data))
+    assert_verify_rejects(report, capsys)
+
+
+def test_verify_rejects_an_out_of_range_finite_conjugator(tmp_path, capsys):
+    instance = {"group": {"kind": "finite", "text": "group C\ngen a order 4\n"},
+                "s": [[1]], "t": [[1]]}
+    code, _ = whitehead_round_trip(instance, [], tmp_path, capsys)
+    assert code == 0
+    report = tmp_path / "r.json"
+    data = json.loads(report.read_text())
+    data["payload"]["result"]["witness"]["conjugators"] = [99]
+    report.write_text(json.dumps(data))
+    assert_verify_rejects(report, capsys)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from oracles import (
     survives_by_table_scan,
     verbal_power_subgroup_over_all_elements,
 )
+from nilcert import outsep
 from nilcert.nilgroup import (
     GroupHom,
     PcPresentation,
@@ -141,6 +142,41 @@ def test_power_subgroup_matches_powers_over_every_element(name, k):
     assert verbal_power_subgroup(p, k).gens == slow
 
 
+@pytest.mark.parametrize("name, k", POWER_CASES)
+def test_power_subgroup_walks_no_whole_quotient(name, k, monkeypatch):
+    p = GROUPS[name]
+    try:
+        expected = verbal_power_subgroup(p, k).gens
+    except CapExceeded as ex:
+        expected = str(ex)
+
+    def refuse(self, cap=10**6):
+        raise AssertionError("the whole quotient was enumerated")
+
+    monkeypatch.setattr(QuotientMap, "elements", refuse)
+    try:
+        got = verbal_power_subgroup(p, k).gens
+    except CapExceeded as ex:
+        got = str(ex)
+    assert got == expected
+
+
+ROUND_TRIP_LIMIT = 4096
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_lift_then_project_is_the_identity_on_power_quotients(name):
+    # on every element of G/G^k up to the limit, on the generators beyond
+    p = GROUPS[name]
+    for k in (2, 3, 4, 6, 12):
+        qmap = QuotientMap(p, verbal_power_subgroup(p, k))
+        if qmap.order() <= ROUND_TRIP_LIMIT:
+            elems = qmap.elements()
+        else:
+            elems = list(qmap.target.generators())
+        assert all(qmap.project(qmap.lift(e)) == e for e in elems)
+
+
 def _chain_levels(p, levels=4):
     """The good enough subgroup and the chain below it, as separate_torsion
     walks it, up to the first level whose quotient exceeds the cap."""
@@ -182,7 +218,7 @@ def test_survives_matches_the_table_scan(name):
     for cand in _chain_levels(p):
         small = cand.index_in_parent() <= 1000
         for cls in elusive + (more if small else []):
-            fast = survives(cls, cand).as_dict()
+            fast = survives(cls, QuotientMap(p, cand)).as_dict()
             assert fast == survives_by_table_scan(cls, cand).as_dict()
             outcomes.add(fast["survived"])
     assert False in outcomes
@@ -195,14 +231,31 @@ def test_survives_keeps_the_cap_and_infinite_index_errors():
     cls = elusive_elements(p)[0]
     cand = _chain_levels(p)[2]
     with pytest.raises(CapExceeded, match="quotient order 216 exceeds cap 100"):
-        survives(cls, cand, cap=100)
+        survives(cls, QuotientMap(p, cand), cap=100)
     with pytest.raises(CapExceeded, match="quotient order 216 exceeds cap 100"):
         survives_by_table_scan(cls, cand, cap=100)
     centre = Subgroup(p, [p.gen(2)])
     with pytest.raises(IndexInfinite):
-        survives(cls, centre)
+        survives(cls, QuotientMap(p, centre))
     with pytest.raises(IndexInfinite):
         survives_by_table_scan(cls, centre)
+
+
+def test_separate_torsion_builds_one_quotient_per_chain_level(monkeypatch):
+    # H3xC2 has 3 elusive classes and levels 0-2; besides the central
+    # quotient, every quotient outsep builds is one survival level's
+    p = PcPresentation(["x", "y", "z", "t"], [None, None, None, 2], conj={(0, 1): (0, 1, 1, 0)})
+    kernels = []
+
+    def counting(source, kernel, *args, **kwargs):
+        kernels.append(kernel)
+        return QuotientMap(source, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(outsep, "QuotientMap", counting)
+    cert = separate_torsion(p)
+    assert len(cert.elusive_data) == 3 and len(cert.survival_log) == 3
+    levels = [Subgroup(p, [tuple(g) for g in entry["generators"]]) for entry in cert.chain]
+    assert kernels == [hom_star_space(p).nu1] + levels
 
 
 @pytest.mark.parametrize("name", ["H3", "H3sq", "Q", "M", "M9", "H5", "Z2xH3xC2", "H3/4"])

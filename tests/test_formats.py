@@ -8,7 +8,6 @@ from nilcert.formats import (
     format_word,
     gog_from_data,
     group_from_spec,
-    inline_group_spec,
     load_gog,
     load_pcp,
     parse_element,
@@ -172,13 +171,13 @@ def test_group_specs(tmp_path):
 
 def test_group_spec_errors(tmp_path):
     with pytest.raises(FormatError, match="kind"):
-        inline_group_spec({"free_rank": 1}, ".")
+        group_from_spec({"free_rank": 1}, ".")
     with pytest.raises(FormatError):
-        inline_group_spec({"kind": "abelian", "free_rank": -1, "invariant_factors": []}, ".")
+        group_from_spec({"kind": "abelian", "free_rank": -1, "invariant_factors": []}, ".")
     with pytest.raises(FormatError, match="infinite-order"):
         group_from_spec({"kind": "finite", "text": "gen a order inf\n"})
     with pytest.raises(FormatError):
-        inline_group_spec({"kind": "pc"}, ".")
+        group_from_spec({"kind": "pc"}, ".")
 
 
 def test_parse_element_shapes():
@@ -251,6 +250,27 @@ def test_load_gog_resolves_pcp_files(tmp_path):
     assert f.data["groups"]["B"]["kind"] == "pc"
     assert "file" not in f.data["groups"]["B"]
     assert isinstance(f.gog.vertex_groups["b"], PcPresentation)
+
+
+def test_load_gog_parses_each_pc_or_finite_group_once(tmp_path, monkeypatch):
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return parse_pcp(text)
+
+    monkeypatch.setattr(formats, "parse_pcp", counting)
+    (tmp_path / "h.pcp").write_text(HEISENBERG)
+    data = segment_data()
+    data["groups"]["B"] = {"kind": "pc", "file": "h.pcp"}
+    data["groups"]["F"] = {"kind": "finite", "text": "gen a order 4\n"}
+    path = tmp_path / "x.gog"
+    path.write_text(json.dumps(data))
+    f = load_gog(str(path))
+    assert texts == [HEISENBERG, "gen a order 4\n"]
+    assert f.data["groups"]["B"] == {"kind": "pc", "text": serialize_pcp(parse_pcp(HEISENBERG))}
+    assert f.data["groups"]["F"] == {"kind": "finite", "text": "group G\ngen a order 4\npow a = 1\n"}
+    assert f.data["groups"]["E"] == {"kind": "abelian", "free_rank": 1, "invariant_factors": []}
 
 
 def test_gog_errors():

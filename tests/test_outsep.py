@@ -254,7 +254,7 @@ def test_good_enough_heisenberg():
     h0 = Subgroup(p, [(0, 0, 3)])
     qm = QuotientMap(p, h)
     k0 = Subgroup(qm.target, [(3, 0), (0, 3)])
-    p0 = good_enough_subgroup(p, h, h0, k0)
+    p0 = good_enough_subgroup(qm, h0, k0)
     assert p0.gens == ((3, 0, 0), (0, 3, 0), (0, 0, 3))
     assert p0.index_in_parent() == 27
     # independent membership re-verification of both conditions
@@ -275,7 +275,7 @@ def test_good_enough_degenerate_whole_group():
     whole = Subgroup(z2, [(1, 0), (0, 1)])
     h0 = Subgroup(z2, [(3, 0), (0, 3)])
     qm = QuotientMap(z2, whole)
-    p0 = good_enough_subgroup(z2, whole, h0, Subgroup(qm.target, []))
+    p0 = good_enough_subgroup(qm, h0, Subgroup(qm.target, []))
     assert p0.gens == ((3, 0), (0, 3))
 
 
@@ -284,7 +284,7 @@ def test_good_enough_full_slack_returns_whole_group():
     h = center(p)
     qm = QuotientMap(p, h)
     k0 = Subgroup(qm.target, [(1, 0), (0, 1)])
-    p0 = good_enough_subgroup(p, h, Subgroup(p, [(0, 0, 1)]), k0)
+    p0 = good_enough_subgroup(qm, Subgroup(p, [(0, 0, 1)]), k0)
     assert p0.is_whole_group()
 
 
@@ -293,7 +293,7 @@ def test_good_enough_rejects_foreign_quotient_subgroup():
     h = center(p)
     other = PcPresentation(["u", "v"], [None, None])
     with pytest.raises(ValueError):
-        good_enough_subgroup(p, h, Subgroup(p, [(0, 0, 3)]), Subgroup(other, [(3, 0)]))
+        good_enough_subgroup(QuotientMap(p, h), Subgroup(p, [(0, 0, 3)]), Subgroup(other, [(3, 0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +347,25 @@ def test_out_finite_cap():
 def test_survives_negation_of_z():
     zp = PcPresentation(["t"], [None])
     neg = OuterAutoClass(GroupHom(zp, zp, [(-1,)]))
-    assert bool(survives(neg, Subgroup(zp, [(3,)])))
+    assert bool(survives(neg, QuotientMap(zp, Subgroup(zp, [(3,)]))))
     # mod 2 the negation becomes the identity, hence inner
-    assert not survives(neg, Subgroup(zp, [(2,)]))
+    assert not survives(neg, QuotientMap(zp, Subgroup(zp, [(2,)])))
 
 
 def test_survives_inner_class_never():
     p = heisenberg()
     cls = OuterAutoClass(inner_automorphism(p, (1, 0, 0)), check=True)
-    assert not survives(cls, Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]))
+    assert not survives(cls, QuotientMap(p, Subgroup(p, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])))
 
 
 def test_survives_h2_class_depends_on_depth():
     h2 = heisenberg(2)
     beta = OuterAutoClass(GroupHom(h2, h2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)]))
-    shallow = survives(beta, Subgroup(h2, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]))
+    shallow = survives(beta, QuotientMap(h2, Subgroup(h2, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])))
     assert not shallow and shallow.quotient_order == 27
     # mod the cube subgroup, conjugation by y^2 sends x to x z^4 = x z
     assert shallow.conjugator == (0, 2, 0)
-    deep = survives(beta, Subgroup(h2, [(6, 0, 0), (0, 6, 0), (0, 0, 6)]))
+    deep = survives(beta, QuotientMap(h2, Subgroup(h2, [(6, 0, 0), (0, 6, 0), (0, 0, 6)])))
     assert deep and deep.quotient_order == 216 and deep.conjugator is None
 
 
@@ -374,7 +374,7 @@ def test_survives_requires_preserved_subgroup():
     swap = OuterAutoClass(GroupHom(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, -1)]))
     lopsided = Subgroup(p, [(3, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError):
-        survives(swap, lopsided)
+        survives(swap, QuotientMap(p, lopsided))
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,33 @@ def test_finite_witness_verifier_rejects_tampering():
     assert not verify_finite_witness(table, s, t, swapped)
 
 
+@pytest.mark.parametrize("generators", [[], [0]])
+def test_finite_witness_verifier_checks_the_groups_own_generators(generators):
+    # (1) vs (2) in Z/4 is not equivalent, 1 has order 4 and 2 order 2; the
+    # transposition of 1 and 2 is no homomorphism, yet it respects right
+    # multiplication by the empty or non-generating list the witness carries
+    table = finite_cyclic_table(4)
+    s, t = [(table.project((1,)),)], [(table.project((2,)),)]
+    assert whitehead_finite(table, s, t).is_not_equivalent()
+    forged = {"map": [0, 2, 1, 3], "generators": generators, "generator_images": [],
+              "conjugators": [0]}
+    assert not verify_finite_witness(table, s, t, forged)
+
+
+def test_witness_verifiers_need_one_valid_conjugator_per_tuple():
+    # an automorphism with no conjugators would pass the tuple check unread
+    table = finite_cyclic_table(4)
+    s, t = [(table.project((1,)),)], [(table.project((2,)),)]
+    inversion = [table.invert(x) for x in range(table.order)]
+    assert not verify_finite_witness(table, s, t, {"map": inversion, "conjugators": []})
+    for c in (4, -1, "0"):
+        assert not verify_finite_witness(table, s, s, {"map": [0, 1, 2, 3], "conjugators": [c]})
+    p = heisenberg()
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    witness = {"generator_images": identity, "conjugators": []}
+    assert not verify_nilpotent_witness(p, [((1, 0, 0),)], [((0, 1, 0),)], witness)
+
+
 # ---------------------------------------------------------------------------
 # nilpotent solver
 
