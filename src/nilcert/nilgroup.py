@@ -41,6 +41,7 @@ still test the class with ``isinstance``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -1494,15 +1495,45 @@ def table_map(d, c, images):
 
 
 class TorsionData:
-    """Torsion subgroup tau, an exponent m with G^m meeting tau trivially, and data for
-    the embedding of G into (G/tau) x (G/G^m)."""
+    """The torsion subgroup tau of G, all its elements, and the data of the
+    embedding of G into (G/tau) x (G/G^m).
 
-    def __init__(self, p, tau: Subgroup, tau_elements, m: int, power_subgroup: Subgroup):
+    When the generators of finite relative order are the tail g_j, ...,
+    g_{n-1}, tau = <g_j, ..., g_{n-1}> (see ``_compute_torsion_data`` for
+    the proof), and tau = 1 for a poly-Z presentation.  m is the least
+    exp * k, exp the exponent of tau and k in 1, 2, 3, 4, 6, 8, 12, 24, for
+    which G^m meets tau trivially, and ``power_subgroup`` is that G^m.
+    Both are found on the first read of either and then kept, so a caller
+    that reads only tau builds no power subgroup; that read raises
+    CapExceeded when a power quotient exceeds the cap or no exponent in
+    the range separates."""
+
+    def __init__(self, p, tau: Subgroup, tau_elements, cap):
         self.p = p
         self.tau = tau
         self.tau_elements = tuple(tau_elements)
-        self.m = m
-        self.power_subgroup = power_subgroup
+        self._cap = cap
+
+    @functools.cached_property
+    def _separation(self):
+        p, cap = self.p, self._cap
+        exp = 1
+        for t in self.tau_elements:
+            exp = math.lcm(exp, _element_order(p, t, cap))
+        for k in (1, 2, 3, 4, 6, 8, 12, 24):
+            m = exp * k
+            v = verbal_power_subgroup(p, m, cap=cap)
+            if all(not v.contains(t) for t in self.tau_elements if any(t)):
+                return m, v
+        raise CapExceeded("no separating power exponent found within the search range")
+
+    @property
+    def m(self) -> int:
+        return self._separation[0]
+
+    @property
+    def power_subgroup(self) -> Subgroup:
+        return self._separation[1]
 
     def verify_embedding(self, radius=2):
         """The pair of projections is injective on the ball of the given
@@ -1554,19 +1585,44 @@ def _element_order(p, x, cap):
 
 
 def torsion_data(p: PcPresentation, cap=10**6) -> TorsionData:
-    """The (finite) torsion subgroup, all its elements, and a verified m
-    with G^m meeting tau trivially; computed once per presentation and
-    cap."""
+    """The (finite) torsion subgroup tau and all its elements, computed once
+    per presentation and cap; m and G^m are found on their first read
+    (``TorsionData``).  When the finite relative orders are those of the
+    tail g_j, ..., g_{n-1}, tau is read off the pc sequence as <g_j, ...,
+    g_{n-1}>, with no centre or quotient built.  CapExceeded when |tau| or
+    a quotient on the way to it exceeds the cap."""
     td = p._torsion_data.get(cap)
     if td is None:
         td = p._torsion_data[cap] = _compute_torsion_data(p, cap)
     return td
 
 
+def _finite_tail(p: PcPresentation):
+    """The index j with g_j, ..., g_{n-1} exactly the generators of finite
+    relative order, or None when a finite one precedes an infinite one."""
+    j = p.n
+    while j and p.orders[j - 1] is not None:
+        j -= 1
+    return None if any(m is not None for m in p.orders[:j]) else j
+
+
 def _compute_torsion_data(p, cap):
-    if p.is_abelian():
+    """tau and its elements; the separating exponent is left to its first
+    read (``TorsionData``).
+
+    When the generators of finite relative order are the tail g_j, ...,
+    g_{n-1} (j = n for a poly-Z presentation), tau = G_j = <g_j, ...,
+    g_{n-1}>, whose elements are the normal forms supported on the tail.
+    G_i/G_{i+1} is cyclic of order m_i, so an element whose first nonzero
+    exponent sits at an infinite-order g_i, i < j, has infinite order: every
+    torsion element lies in G_j, and G_j is finite.  Otherwise tau is read
+    off the abelian presentation, or built from the torsion of the centre Z
+    and of G/Z by recursion."""
+    j = _finite_tail(p)
+    if j is not None:
+        tau = Subgroup(p, [p.gen(i) for i in range(j, p.n)])
+    elif p.is_abelian():
         tau = Subgroup(p, _abelian_torsion_gens(p))
-        tau_elements = tau.elements(cap=cap)
     else:
         zq = center(p)
         qmap = QuotientMap(p, zq, check_normal=False)
@@ -1591,17 +1647,7 @@ def _compute_torsion_data(p, cap):
             for zt in ztau_elements:
                 elements.append(p.multiply(base, zt))
         tau = Subgroup(p, elements)
-        tau_elements = tau.elements(cap=cap)
-    exp = 1
-    for t in tau_elements:
-        o = _element_order(p, t, cap)
-        exp = exp * o // xgcd(exp, o)[0]
-    for k in (1, 2, 3, 4, 6, 8, 12, 24):
-        m = exp * k
-        v = verbal_power_subgroup(p, m, cap=cap)
-        if all(not v.contains(t) for t in tau_elements if any(t)):
-            return TorsionData(p, tau, tau_elements, m, v)
-    raise CapExceeded("no separating power exponent found within the search range")
+    return TorsionData(p, tau, tau.elements(cap=cap), cap)
 
 
 # ---------------------------------------------------------------------------

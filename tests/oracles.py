@@ -16,12 +16,16 @@ from nilcert.nilgroup import (
     PcPresentation,
     QuotientMap,
     Subgroup,
+    _abelian_torsion_gens,
+    _element_order,
+    center,
     isomorphisms,
     quotient_table,
     simultaneous_conjugator,
+    verbal_power_subgroup,
 )
 from nilcert.outsep import SurvivalCheck
-from nilcert.zmod import CapExceeded, IndexInfinite
+from nilcert.zmod import CapExceeded, IndexInfinite, xgcd
 
 
 def brute_force_hom_count(a, c):
@@ -533,3 +537,61 @@ def unpruned_witness_search(p, s, t, box):
                 "conjugators": [list(g) for g in conj],
             }
     return None
+
+
+class TorsionData:
+    """tau, its elements, the separating exponent m and G^m, all computed
+    up front."""
+
+    def __init__(self, p, tau, tau_elements, m, power_subgroup):
+        self.p = p
+        self.tau = tau
+        self.tau_elements = tuple(tau_elements)
+        self.m = m
+        self.power_subgroup = power_subgroup
+
+
+def eager_torsion_data(p, cap=10**6):
+    """The torsion subgroup of any presentation by the centre recursion:
+    tau read off an abelian presentation, else built from the torsion of
+    the centre Z and of G/Z; then m, the least exp * k (exp the exponent
+    of tau, k in 1, 2, 3, 4, 6, 8, 12, 24) with G^m meeting tau trivially,
+    found by building each G^m in turn."""
+    if p.is_abelian():
+        tau = Subgroup(p, _abelian_torsion_gens(p))
+        tau_elements = tau.elements(cap=cap)
+    else:
+        zq = center(p)
+        qmap = QuotientMap(p, zq, check_normal=False)
+        sub_td = eager_torsion_data(qmap.target, cap=cap)
+        zpres, to_z, from_z = zq.presentation()
+        zmodule = zpres.abelianization()
+        ztau = Subgroup(zpres, _abelian_torsion_gens(zpres))
+        ztau_elements = [from_z(t) for t in ztau.elements(cap=cap)]
+        elements = []
+        for tbar in sub_td.tau_elements:
+            r = qmap.lift(tbar)
+            e = _element_order(qmap.target, tbar, cap)
+            czc = zmodule.coords(to_z(p.power(r, e)))
+            fr = zmodule.module.free_rank
+            if any(c % e for c in czc[:fr]):
+                continue  # no torsion element above this coset
+            z0 = [0] * zmodule.module.rank
+            for t in range(fr):
+                z0[t] = -(czc[t] // e)
+            zcorr = from_z(zmodule.lift(tuple(z0)))
+            base = p.multiply(r, zcorr)
+            for zt in ztau_elements:
+                elements.append(p.multiply(base, zt))
+        tau = Subgroup(p, elements)
+        tau_elements = tau.elements(cap=cap)
+    exp = 1
+    for t in tau_elements:
+        o = _element_order(p, t, cap)
+        exp = exp * o // xgcd(exp, o)[0]
+    for k in (1, 2, 3, 4, 6, 8, 12, 24):
+        m = exp * k
+        v = verbal_power_subgroup(p, m, cap=cap)
+        if all(not v.contains(t) for t in tau_elements if any(t)):
+            return TorsionData(p, tau, tau_elements, m, v)
+    raise CapExceeded("no separating power exponent found within the search range")

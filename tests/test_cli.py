@@ -53,6 +53,30 @@ def test_report_round_trip_with_finite_order_generator(
     assert json.loads(out) == {"kind": argv[0], "verified": True}
 
 
+@pytest.mark.parametrize(
+    "m, cap, message",
+    [
+        (4, 64, "quotient order 256 exceeds cap 64"),
+        (4, 8, "quotient order 64 exceeds cap 8"),
+        (4, 4, "quotient order 64 exceeds cap 4"),
+        (3, 4, "quotient order 27 exceeds cap 4"),
+    ],
+)
+def test_torsion_cap_error_comes_from_the_exponent_search(m, cap, message, tmp_path, capsys):
+    # H3 with z of order m: tau = <z> fits the cap.  The exponent search
+    # builds G/G^m, of order m^3, and when that fits but does not
+    # separate, G/G^2m, of order 4 m^3; the first that exceeds the cap
+    # names it
+    path = tmp_path / "q.pcp"
+    path.write_text(
+        f"group Q{m}\ngen x order inf\ngen y order inf\ngen z order {m}\n"
+        "conj y ^ x = y z\npow z = 1\n"
+    )
+    code, out = run(["torsion", str(path), "--json", "--quotient-cap", str(cap)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "cap", "message": message}
+
+
 def test_report_without_pow_lines_still_verifies(mixed_pcp, tmp_path, capsys):
     report = tmp_path / "r.json"
     code, _ = run(["torsion", mixed_pcp, "--report", str(report)], capsys)

@@ -1,6 +1,7 @@
 """The collector's binary conjugation powers, the Sylow-split power
-subgroups, the table-free survival check and the enumerator's onto test,
-each against the code it replaced (``oracles.py``)."""
+subgroups, the table-free survival check, the enumerator's onto test and
+the torsion subgroup read off the finite tail, each against the code it
+replaced (``oracles.py``)."""
 
 import gc
 import math
@@ -11,10 +12,12 @@ import pytest
 
 from oracles import (
     IterativeCollector,
+    eager_torsion_data,
     survives_by_table_scan,
     verbal_power_subgroup_over_all_elements,
 )
-from nilcert import outsep
+from nilcert import nilgroup, outsep
+from nilcert.gogiso import GroupMap
 from nilcert.nilgroup import (
     GroupHom,
     PcPresentation,
@@ -23,6 +26,7 @@ from nilcert.nilgroup import (
     generates_abelianization,
     inner_automorphism,
     intersect_finite_index,
+    torsion_data,
     verbal_power_subgroup,
 )
 from nilcert.outsep import (
@@ -121,13 +125,14 @@ def test_collector_matches_at_exponents_up_to_2520():
 # Left out as taking the reference more than a few seconds: Q at k = 180
 # (|G/H| = 64,800; 45 s) and H3 at k = 30 and 60 (|G/H| = 27,000 and
 # 216,000).  H3 at k = 180 exceeds the default cap in both.  M8 at k = 2520
-# is the largest exponent of its separate-torsion chain.
+# is the largest exponent of its separate-torsion chain.  The prime powers
+# make G/H a p-group, whose one Sylow factor is all of G/H.
 POWER_CASES = [
     (name, k)
     for name in ("M8", "M9", "Q", "H3")
     for k in (6, 12, 30, 60, 180)
     if (name, k) not in {("Q", 180), ("H3", 30), ("H3", 60)}
-] + [("M8", 2520)]
+] + [("M8", 2520), ("H3", 2), ("H3", 4), ("H3sq", 9), ("Q", 4), ("M8", 8)]
 
 
 @pytest.mark.parametrize("name, k", POWER_CASES)
@@ -283,3 +288,108 @@ def test_hom_star_space_is_cached_on_its_group_and_freed_with_it():
     del p
     gc.collect()
     assert ref() is None
+
+
+def fresh(p):
+    """A new presentation equal to p, so that nothing p has computed and
+    kept is read."""
+    return PcPresentation(p.names, p.orders, conj=p.conj, conj_inv=p.conj_inv, powers=p.powers)
+
+
+def _assert_same_torsion(p):
+    slow = eager_torsion_data(p)
+    fast = torsion_data(fresh(p))
+    assert fast.tau.gens == slow.tau.gens
+    assert sorted(fast.tau_elements) == sorted(slow.tau_elements)
+    assert fast.m == slow.m
+    assert fast.power_subgroup.gens == slow.power_subgroup.gens
+    return fast
+
+
+# a finite generator before an infinite one: the centre path
+NON_TAIL = {
+    "C2xZ": PcPresentation(["c", "a"], [2, None]),
+    "C2xH3": PcPresentation(["c", "x", "y", "z"], [2, None, None, None], conj={(1, 2): (0, 0, 1, 1)}),
+    "xtyz": PcPresentation(["x", "t", "y", "z"], [None, 4, None, None], conj={(0, 2): (0, 0, 1, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_torsion_data_matches_the_centre_recursion(name):
+    _assert_same_torsion(GROUPS[name])
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_torsion_data_matches_the_centre_recursion_on_power_quotients(name):
+    p = GROUPS[name]
+    for k in (2, 3, 4):
+        qmap = QuotientMap(p, verbal_power_subgroup(p, k))
+        assert len(_assert_same_torsion(qmap.target).tau_elements) == qmap.order()
+
+
+@pytest.mark.parametrize("name, gen", [("C2xZ", 0), ("C2xH3", 0), ("xtyz", 1)])
+def test_torsion_data_keeps_the_centre_path_for_a_finite_generator_first(name, gen):
+    p = NON_TAIL[name]
+    td = _assert_same_torsion(p)
+    assert td.tau.gens == (p.gen(gen),)
+
+
+def _random_presentation(rng):
+    """H3 with y^x = y z^k and z of order m, a cyclic extension b^a = b^u
+    with b of order m, or H3 beside a central generator of order m, placed
+    first or last."""
+    kind = rng.randrange(3)
+    m = rng.choice([2, 3, 4, 6, 8, 9])
+    if kind == 0:
+        return h3(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([None, m]))
+    if kind == 1:
+        rad = math.prod(q for q in (2, 3) if m % q == 0)
+        return cyclic_ext(m, rng.randrange(1, m, rad))  # u = 1 mod every prime of m
+    k = rng.choice([-2, -1, 1, 2])
+    if rng.random() < 0.5:
+        return PcPresentation(["c", "x", "y", "z"], [m, None, None, None], conj={(1, 2): (0, 0, 1, k)})
+    return PcPresentation(["x", "y", "z", "c"], [None, None, None, m], conj={(0, 1): (0, 1, k, 0)})
+
+
+def test_torsion_data_matches_the_centre_recursion_on_random_presentations():
+    rng = random.Random(1556)
+    shapes = set()
+    for _ in range(24):
+        p = _random_presentation(rng)
+        td = _assert_same_torsion(p)
+        shapes.add((p.orders[0] is None, td.tau.is_trivial()))
+    assert shapes == {(True, True), (True, False), (False, False)}
+
+
+TAIL_SHAPED = sorted(set(GROUPS) - {"Tail"})
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the centre path or the exponent search ran")
+
+
+def _forbid_the_centre_path(monkeypatch):
+    for name in ("center", "QuotientMap", "verbal_power_subgroup"):
+        monkeypatch.setattr(nilgroup, name, _refuse)
+
+
+@pytest.mark.parametrize("name", TAIL_SHAPED)
+def test_tail_torsion_builds_no_centre_quotient_or_power_subgroup(name, monkeypatch):
+    p = fresh(GROUPS[name])
+    expected = sorted(eager_torsion_data(GROUPS[name]).tau_elements)
+    _forbid_the_centre_path(monkeypatch)
+    assert sorted(torsion_data(p).tau_elements) == expected
+
+
+def test_vertex_group_injectivity_builds_no_centre_quotient_or_power_subgroup(monkeypatch):
+    q, m = fresh(GROUPS["Q"]), fresh(GROUPS["M"])
+    zz_c2 = PcPresentation(["a", "b", "t"], [None, None, 2])
+    maps = [
+        (GroupMap(q, q, q.generators()), True),
+        (GroupMap(q, q, [q.gen(1), q.gen(0), q.gen(2)]), True),
+        (GroupMap(q, zz_c2, [zz_c2.gen(0), zz_c2.gen(1), zz_c2.identity()]), False),
+        (GroupMap(m, m, m.generators()), True),
+        (GroupMap(m, m, [m.gen(0), m.power(m.gen(1), 2)]), False),
+    ]
+    _forbid_the_centre_path(monkeypatch)
+    assert [f.is_injective() for f, _ in maps] == [want for _, want in maps]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import table_element_order
+from nilcert import nilgroup
 from nilcert.nilgroup import (
     GroupHom,
     Inconsistent,
@@ -551,6 +552,22 @@ def test_torsion_data_is_computed_once_per_presentation_and_cap():
     assert torsion_data(q) is not td
     with pytest.raises(CapExceeded):
         torsion_data(p, cap=1)
+
+
+def test_separating_exponent_is_searched_once_on_first_read(monkeypatch):
+    p = PcPresentation(["x", "y", "z"], [None, None, 2], conj={(0, 1): (0, 1, 1)})
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return verbal_power_subgroup(*args, **kwargs)
+
+    monkeypatch.setattr(nilgroup, "verbal_power_subgroup", counting)
+    td = torsion_data(p)
+    assert td.tau.gens == ((0, 0, 1),) and calls == []
+    assert td.m == 4 and calls == [2, 4]
+    g4 = td.power_subgroup
+    assert td.m == 4 and td.power_subgroup is g4 and calls == [2, 4]
 
 
 # ---------------------------------------------------------------------------
