@@ -331,13 +331,21 @@ def group_from_spec(spec, base_dir=".", cap=10**6):
     return load_group_spec(spec, base_dir, cap)[1]
 
 
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_element(group, value):
-    """Element of a handle from its JSON form (index or exponent list)."""
+    """Element of a handle from its JSON form (index or exponent list).
+    Entries must be JSON integers: a float, string or boolean is refused,
+    not rounded or read as 0 or 1."""
     if isinstance(group, (AbelianModule, PcPresentation)):
         if not isinstance(value, (list, tuple)):
             raise FormatError("element must be an exponent vector")
-        return tuple(int(x) for x in value)
-    if not isinstance(value, int):
+        if not all(_is_integer(x) for x in value):
+            raise FormatError("exponents must be integers")
+        return tuple(value)
+    if not _is_integer(value):
         raise FormatError("element of a finite group must be an index")
     return value
 

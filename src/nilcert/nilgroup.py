@@ -940,18 +940,63 @@ class FiniteGroupTable:
     """A finite quotient of a pc group, its elements numbered.  Element i
     is the i-th normal form of ``qmap.target``, the quotient's own pc
     presentation, in the order of ``qmap.elements(cap)``, so the identity
-    is 0; ``qmap.target`` does the arithmetic, ``project`` takes a source
-    element to its index and ``qmap.lift`` takes an element back to a
-    source vector.  The presentation passed its overlap checks when it
-    was built, so the numbered group needs no checks of its own."""
+    is 0; ``project`` takes a source element to its index and
+    ``qmap.lift`` takes an element back to a source vector.  The
+    presentation passed its overlap checks when it was built, so the
+    numbered group needs no checks of its own.
+
+    Arithmetic is by lookup (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 8).  The constructor asks
+    ``qmap.target``'s collector once per element and pc generator g_k for
+    the right action a -> a g_k, a permutation of the indices, and
+    composes it with itself into the actions of g_k^2, g_k^4, ...  below
+    the relative order m_k.  The product a b walks the normal form
+    g_0^{e_0} ... g_{n-1}^{e_{n-1}} of b, one lookup per nonzero binary
+    digit of each e_k, and is memoized per pair; a^-1 walks a's normal form
+    backwards through the inverse permutations.  After construction no
+    product, inverse, conjugate or power reaches the collector."""
 
     def __init__(self, qmap: QuotientMap, cap=10**6):
         self.qmap = qmap
+        q = qmap.target
         self.elements = tuple(qmap.elements(cap))
         self.order = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._memo = {}
-        self._inv = [self._index[qmap.target.invert(e)] for e in self.elements]
+        self._signatures = None
+        # _right[k][j][a] is the index of a g_k^(2^j), for 2^j < m_k
+        self._right = []
+        for k, m in enumerate(q.orders):
+            g = q.gen(k)
+            steps = [[self._index[q.multiply(e, g)] for e in self.elements]]
+            while 2 ** len(steps) < m:
+                s = steps[-1]
+                steps.append([s[a] for a in s])
+            self._right.append(steps)
+        backwards = []
+        for steps in reversed(self._right):
+            inverses = []
+            for s in steps:
+                inv = [0] * self.order
+                for a, b in enumerate(s):
+                    inv[b] = a
+                inverses.append(inv)
+            backwards.append(inverses)
+        self._inv = [self._walk(0, reversed(e), backwards) for e in self.elements]
+
+    @staticmethod
+    def _walk(a, exponents, actions):
+        """a h_0^{e_0} h_1^{e_1} ..., where actions[k][j] is the right
+        action of h_k^(2^j) and e_k the k-th exponent: one lookup per
+        nonzero binary digit of each e_k."""
+        for steps, e in zip(actions, exponents):
+            j = 0
+            while e:
+                if e & 1:
+                    a = steps[j][a]
+                e >>= 1
+                j += 1
+        return a
 
     def index_of(self, element):
         return self._index[element]
@@ -970,8 +1015,7 @@ class FiniteGroupTable:
         key = (i, j)
         r = self._memo.get(key)
         if r is None:
-            r = self._index[self.qmap.target.multiply(self.elements[i], self.elements[j])]
-            self._memo[key] = r
+            r = self._memo[key] = self._walk(i, self.elements[j], self._right)
         return r
 
     def invert(self, i):
@@ -1017,6 +1061,57 @@ class FiniteGroupTable:
     def project(self, x):
         """Index of the image of a source element."""
         return self._index[self.qmap.project(x)]
+
+    def signatures(self):
+        """(order, central height) of every element, as a tuple indexed by
+        element; the central height of x is the least k with x in Z_k, the
+        k-th term of the upper central series (0 for the identity).  Found
+        on first call, by lookups only, and kept.
+
+        Orders: an element x of leading generator g_i and exponent e there
+        has x^r in <g_{i+1}, ...> for r = m_i / gcd(e, m_i), the least such
+        r, and that subgroup is a block of smaller indices, so
+        |x| = r |x^r| is read off an earlier entry.  Heights: x lies in Z_k
+        exactly when [x, g] lies in Z_{k-1} for every pc generator g, so
+        the layers Z_1, Z_2, ... come out one sweep each."""
+        if self._signatures is None:
+            q = self.qmap.target
+
+            # not memoized, so the memo keeps only products callers ask for
+            def product(a, b):
+                return self._walk(a, self.elements[b], self._right)
+
+            orders = [1] * self.order
+            for x in range(1, self.order):
+                i = _lead(self.elements[x])
+                r = q.orders[i] // math.gcd(self.elements[x][i], q.orders[i])
+                y, z, t = 0, x, r
+                while t:
+                    if t & 1:
+                        y = product(y, z)
+                    t >>= 1
+                    if t:
+                        z = product(z, z)
+                orders[x] = r * orders[y]
+            commutators = []
+            for k in range(q.n):
+                g_inv = self._inv[self._index[q.gen(k)]]
+                step = self._right[k][0]
+                commutators.append([
+                    product(product(self._inv[x], g_inv), step[x]) for x in range(self.order)
+                ])
+            heights = [0] + [None] * (self.order - 1)
+            for k in itertools.count(1):
+                layer = [
+                    x for x, h in enumerate(heights)
+                    if h is None and all(heights[c[x]] is not None for c in commutators)
+                ]
+                if not layer:
+                    break
+                for x in layer:
+                    heights[x] = k
+            self._signatures = tuple(zip(orders, heights))
+        return self._signatures
 
 
 def serialize_element(x):
@@ -1359,7 +1454,16 @@ def isomorphisms(domain, codomain, candidates, congruences=()):
         already sends somewhere, and the map then extends to the block
         <g_i, ..., g_{n-1}>, the first m_i ... m_{n-1} elements, by one
         product per element (``_table_block``).  A block with two
-        elements of one image ends the branch.
+        elements of one image ends the branch.  Only the candidates whose
+        ``FiniteGroupTable.signatures()`` entry, the pair (element order,
+        least k with the element in Z_k), equals the generator's are
+        tried.  This drops no map: an isomorphism keeps element orders and
+        carries each term Z_k of the upper central series onto Z_k, so
+        every map the enumerator yields sends each generator to an element
+        of its own signature, and the maps come out as before, in the
+        same order.  The tail generator g_{n-1} is assigned first; where
+        it is central, as in every quotient of H3, only central candidates
+        stay, so the search tree loses the most there.
     """
     candidates = [[codomain.normal_form(x) for x in cs] for cs in candidates]
     if isinstance(domain, FiniteGroupTable):
@@ -1440,6 +1544,10 @@ def _table_isomorphisms(d, c, candidates):
         return
     p = d.qmap.target
     rels = [[r for r in p.relations() if r[0] == i] for i in range(p.n)]
+    want, have = d.signatures(), c.signatures()
+    candidates = [
+        [x for x in cs if have[x] == want[g]] for g, cs in zip(d.generators(), candidates)
+    ]
     images = [None] * p.n
 
     def extend(i, phi):

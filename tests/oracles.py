@@ -18,6 +18,7 @@ from nilcert.nilgroup import (
     Subgroup,
     _abelian_torsion_gens,
     _element_order,
+    _table_block,
     center,
     isomorphisms,
     quotient_table,
@@ -508,6 +509,42 @@ def closure_table_isomorphisms(d, c, candidates):
             images.pop()
 
     yield from extend(0, {d.identity(): c.identity()})
+
+
+def collector_product(table, i, j):
+    """The product of elements i and j of a FiniteGroupTable, collected in
+    the pc presentation the table numbers, ``qmap.target``."""
+    q = table.qmap.target
+    return table.index_of(q.multiply(table.elements[i], table.elements[j]))
+
+
+def collector_inverses(table):
+    """The inverse of every element of a FiniteGroupTable, as a list
+    indexed by element, collected in ``qmap.target``."""
+    q = table.qmap.target
+    return [table.index_of(q.invert(e)) for e in table.elements]
+
+
+def unfiltered_table_isomorphisms(d, c, candidates):
+    """The block enumerator over every candidate of each generator, with no
+    filter on element order or central height."""
+    if d.order != c.order:
+        return
+    p = d.qmap.target
+    rels = [[r for r in p.relations() if r[0] == i] for i in range(p.n)]
+    images = [None] * p.n
+
+    def extend(i, phi):
+        if i < 0:
+            yield tuple(phi)
+            return
+        for img in candidates[p.n - 1 - i]:
+            images[i] = img
+            block = _table_block(d, c, images, i, rels[i], phi)
+            if block is not None and len(set(block)) == len(block):
+                yield from extend(i - 1, block)
+
+    yield from extend(p.n - 1, [c.identity()])
 
 
 def conjugator_by_scan(f, stup, ttup, phi):

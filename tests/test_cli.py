@@ -238,6 +238,32 @@ def test_whitehead_rejects_an_inconsistent_finite_presentation(tmp_path, capsys)
     }
 
 
+Z = {"kind": "pc", "text": "group Z\ngen a order inf\n"}
+
+
+@pytest.mark.parametrize(
+    "group, s, message",
+    [
+        (Z, [[[1.9]]], "exponents must be integers"),
+        (Z, [[["2"]]], "exponents must be integers"),
+        (Z, [[[True]]], "exponents must be integers"),
+        (FINITE, [[True]], "element of a finite group must be an index"),
+        (FINITE, [[2.0]], "element of a finite group must be an index"),
+    ],
+)
+def test_whitehead_rejects_an_element_that_is_not_made_of_integers(
+    group, s, message, tmp_path, capsys
+):
+    """An exponent or index must be a JSON integer: 1.9 is not read as 1,
+    "2" as 2, or true as 1."""
+    t = [[[1]]] if group is Z else [[1]]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"group": group, "s": s, "t": t}))
+    code, out = run(["whitehead", str(path), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "parse", "message": message}}
+
+
 def test_whitehead_unknown_exits_2(tmp_path, capsys):
     instance = {"group": PC, "s": [[[0, 0, 5]]], "t": [[[0, 0, 1]]]}
     code, out = whitehead_round_trip(instance, ["--budget", "1"], tmp_path, capsys)

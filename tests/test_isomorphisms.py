@@ -9,11 +9,17 @@ import pytest
 from oracles import (
     box_automorphisms,
     closure_table_isomorphisms,
+    collector_inverses,
+    collector_product,
     extend_table_map,
     greedy_generators,
     out_finite,
+    table_element_order,
     table_isomorphisms,
+    unfiltered_table_isomorphisms,
 )
+from nilcert import nilgroup
+from nilcert.formats import group_from_spec
 from nilcert.nilgroup import (
     GroupHom,
     PcPresentation,
@@ -21,9 +27,15 @@ from nilcert.nilgroup import (
     isomorphisms,
     quotient_table,
     table_map,
+    upper_central_series,
     verbal_power_subgroup,
 )
-from nilcert.whitehead import _box_elements, whitehead_nilpotent
+from nilcert.whitehead import (
+    _box_elements,
+    verify_finite_witness,
+    whitehead_finite,
+    whitehead_nilpotent,
+)
 
 GROUPS = {
     "H3": PcPresentation(["x", "y", "z"], [None] * 3, conj={(0, 1): (0, 1, 1)}),
@@ -137,8 +149,9 @@ def _shuffled_candidates(rng, table, order):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_table_enumerator_matches_the_closure_enumerator(k):
     """The relation-checked block enumerator against the Cayley-closure
-    one: the same maps in the same order, with every element as candidate
-    and with random shuffled candidate lists."""
+    one and against itself without the filter on element order and
+    central height: the same maps in the same order, with every element
+    as candidate and with random shuffled candidate lists."""
     rng = random.Random(1500 + k)
     tables = {name: t for (name, e), t in _power_quotients().items() if e == k}
     for t1 in tables.values():
@@ -149,6 +162,7 @@ def test_table_enumerator_matches_the_closure_enumerator(k):
             for candidates in (full, _shuffled_candidates(rng, t1, t2.order)):
                 fast = list(isomorphisms(t1, t2, candidates))
                 assert fast == list(closure_table_isomorphisms(t1, t2, candidates))
+                assert fast == list(unfiltered_table_isomorphisms(t1, t2, candidates))
     assert len(tables) == 7
 
 
@@ -163,6 +177,7 @@ def test_table_enumerator_between_two_different_tables():
         full = [range(t2.order)] * len(t1.generators())
         fast = list(isomorphisms(t1, t2, full))
         assert fast == list(closure_table_isomorphisms(t1, t2, full))
+        assert fast == list(unfiltered_table_isomorphisms(t1, t2, full))
         counts.append(len(fast))
     assert counts == [432, 384, 0]
 
@@ -209,3 +224,93 @@ def test_table_map_matches_the_cayley_closure():
                     homs += 1
                     assert fast == [slow[x] for x in range(t1.order)]
     assert homs > 100
+
+
+D8 = "group D\ngen a order 2\ngen b order 2\ngen c order 2\nconj b ^ a = b c\n"
+C4 = "group C4\ngen a order 4\npow a = 1\n"
+
+
+def _lookup_tables():
+    """The power quotients, the 24 random quotients and the D8 and C4
+    finite specs."""
+    rng = random.Random(2005)
+    return (
+        list(_power_quotients().values())
+        + [_random_quotient(rng) for _ in range(24)]
+        + [group_from_spec({"kind": "finite", "text": text}) for text in (D8, C4)]
+    )
+
+
+def test_table_products_match_the_collector():
+    """Every product and every inverse of a table, read off the right
+    actions of the pc generators, against the collector of the
+    presentation the table numbers."""
+    for table in _lookup_tables():
+        n = table.order
+        assert [table.invert(a) for a in range(n)] == collector_inverses(table)
+        for a in range(n):
+            for b in range(n):
+                assert table.multiply(a, b) == collector_product(table, a, b)
+
+
+def test_signatures_are_element_orders_and_central_heights():
+    """Each element's signature is its order, by repeated multiplication,
+    and the least k with the element in Z_k, from the upper central series
+    of the presentation the table numbers; found on first use and kept."""
+    for table in _lookup_tables():
+        assert table._signatures is None
+        series = upper_central_series(table.qmap.target)
+        expected = tuple(
+            (
+                table_element_order(table, x),
+                next(k for k, z in enumerate(series) if z.contains(table.elements[x])),
+            )
+            for x in range(table.order)
+        )
+        assert table.signatures() == expected
+        assert table.signatures() is table.signatures()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a table operation reached the collector")
+
+
+def test_finite_answers_reach_no_collector(monkeypatch):
+    """Once a table is built, its automorphisms, a finite Whitehead verdict
+    and its verification, and table_map take no product, inverse or
+    collection from the presentation the table numbers."""
+    t = _power_quotients()[("H3", 3)]
+    q = t.qmap.target
+    for name in ("multiply", "invert", "_push"):
+        monkeypatch.setattr(q, name, _refuse)
+    gens = t.generators()
+    assert len(list(isomorphisms(t, t, [range(t.order)] * len(gens)))) == 432
+    x, y = gens[2], gens[1]
+    verdict = whitehead_finite(t, [[x]], [[t.multiply(x, y)]])
+    assert verdict.is_equivalent()
+    assert verify_finite_witness(t, [[x]], [[t.multiply(x, y)]], verdict.witness)
+    refuted = whitehead_finite(t, [[x]], [[t.identity()]])
+    assert refuted.certificate["aut_order"] == 432
+    assert table_map(t, t, gens) == list(range(t.order))
+
+
+@pytest.mark.parametrize(
+    "group, k, maps, bound",
+    [("H3", 3, 432, 1202), ("H3sq", 4, 12288, 18824)],
+)
+def test_signature_filter_prunes_the_block_builds(group, k, maps, bound, monkeypatch):
+    """All of Aut(G/G^k) builds at most `bound` blocks; over every candidate,
+    not only those of the generator's order and central height, H3/H3^3
+    builds 5,913 and H3sq/H3sq^4 77,376."""
+    p = POWER_QUOTIENT_GROUPS[group]
+    t = quotient_table(p, verbal_power_subgroup(p, k))
+    builds = []
+    block = nilgroup._table_block
+
+    def counting(*args):
+        builds.append(1)
+        return block(*args)
+
+    monkeypatch.setattr(nilgroup, "_table_block", counting)
+    assert len(list(isomorphisms(t, t, [range(t.order)] * len(t.generators())))) == maps
+    assert len(builds) <= bound
