@@ -294,9 +294,11 @@ def load_group_spec(spec, base_dir, cap):
     if kind == "abelian":
         fr = spec.get("free_rank", 0)
         factors = spec.get("invariant_factors", [])
-        if not isinstance(fr, int) or fr < 0:
+        if not _is_integer(fr) or fr < 0:
             raise FormatError("free_rank must be a nonnegative integer")
-        if not all(isinstance(m, int) and m >= 2 for m in factors):
+        if not isinstance(factors, (list, tuple)) or not all(
+            _is_integer(m) and m >= 2 for m in factors
+        ):
             raise FormatError("invariant factors must be integers >= 2")
         canonical = {"kind": "abelian", "free_rank": fr, "invariant_factors": list(factors)}
         return canonical, AbelianModule(fr, factors)

@@ -10,8 +10,9 @@ provides:
   - ``GroupMap``: homomorphisms between vertex and edge groups, which
     are AbelianModule, FiniteGroupTable or PcPresentation instances and
     are used through the seven-method group interface described in the
-    ``nilgroup`` module docstring, with exact injectivity and
-    surjectivity tests,
+    ``nilgroup`` module docstring; exact injectivity, surjectivity and
+    preimages are decided in the pc presentation behind each group
+    (``_pc_group``), where the kinds differ no more,
   - diagram verifiers: ``verify_gog_isomorphism`` for graph-of-groups
     isomorphisms (vertex maps, edge maps and attaching elements), and
     ``verify_extension_adjustment`` for the two extension-adjustment
@@ -22,20 +23,26 @@ provides:
     supplied by the caller as finite orbit lists,
   - ``fundamental_presentation``: a finite presentation of the
     fundamental group relative to a spanning tree, with its
-    abelianization as a cross-check invariant; a FiniteGroupTable
-    vertex group contributes the generators and relations of the pc
-    presentation it numbers.
+    abelianization as a cross-check invariant; each vertex group
+    contributes the generators and relations of the pc presentation
+    behind it.
+
+Code here branches on the kind of group only where the kinds need
+different algorithms or messages: the relation check of a map from a
+module (``GroupMap._check_relations``), the lookup of a map from a table,
+and the complete module and table searches of ``_base_isomorphism`` and
+``_conjugate_into_image``; ``solve_whitehead`` picks the solver per kind.
 
 Conventions: conjugation is x^g = g^-1 x g throughout, matching the
 rest of the package, and abelian homomorphisms act on row vectors.
 """
 
+import functools
 import itertools
 import math
 
 from .nilgroup import (
     FiniteGroupTable,
-    GroupHom,
     PcPresentation,
     Subgroup,
     _Igs,
@@ -54,22 +61,28 @@ from .whitehead import (
     _box_elements,
     solve_whitehead,
 )
-from .zmod import AbelianModule, AdaptedQuotient, CapExceeded, IntMatrix, solve_integer
+from .zmod import AbelianModule, AdaptedQuotient, CapExceeded
 
 
-def _slot_orders(g):
-    """Relative orders of the coordinate slots of a module or pc group,
-    None for an infinite slot."""
-    if isinstance(g, AbelianModule):
-        return [None] * g.free_rank + list(g.invariant_factors)
-    return list(g.orders)
+def _pc_group(h):
+    """The pc presentation behind a group handle: for a table, the one
+    whose normal forms it numbers; for a module, its abelian twin a0, a1,
+    ... with the same coordinates (free slots first, torsion orders
+    after), built afresh on each call; a pc group itself.  The twin has
+    no conjugation or power relations, so it skips the overlap checks,
+    which would all hold."""
+    if isinstance(h, FiniteGroupTable):
+        return h.qmap.target
+    if isinstance(h, AbelianModule):
+        orders = [None] * h.free_rank + list(h.invariant_factors)
+        return PcPresentation([f"a{i}" for i in range(h.rank)], orders, check=False)
+    return h
 
 
-def _pc_of_abelian(module):
-    """Polycyclic presentation of an AbelianModule with identical
-    coordinates (free slots first, torsion orders after)."""
-    names = [f"a{i}" for i in range(module.rank)]
-    return PcPresentation(names, _slot_orders(module))
+def _pc_element(h, x):
+    """x as an element of ``_pc_group(h)``: a table index becomes the
+    normal form it numbers, coordinates and exponent vectors stay."""
+    return h.elements[x] if isinstance(h, FiniteGroupTable) else x
 
 
 # ---------------------------------------------------------------------------
@@ -83,26 +96,33 @@ class GroupMap:
 
     For a FiniteGroupTable domain the generator images are checked on the
     relations of the pc presentation the table numbers and expanded to a
-    full element map (``nilgroup.table_map``); for module and pc domains
-    the defining relations are checked on construction.  A preimage in a
-    pc codomain sifts through an induced sequence of the images that
-    carries domain elements as payloads.
+    full element map (``nilgroup.table_map``), which answers preimages
+    and injectivity by lookup.  For module and pc domains the defining
+    relations are checked on construction, a module's as commuting and
+    torsion relations, with their own messages.
+
+    The rest is decided in the pc presentations behind the two groups
+    (``_pc_group``), each built at most once per map.  The image is one
+    ``Subgroup`` there, and the map is onto when it is the whole group.
+    Preimages sift through an induced sequence of the images that carries
+    the domain generators as payloads (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 8).  A finite domain maps
+    injectively when the image has its order.  An infinite domain maps
+    injectively when the image keeps its Hirsch length and no nontrivial
+    element of its torsion subgroup maps to the identity: a nontrivial
+    normal subgroup of a nilpotent group that meets the torsion trivially
+    is infinite, and dividing it out lowers the Hirsch length.
     """
 
     def __init__(self, domain, codomain, images, check=True):
         self.domain = domain
         self.codomain = codomain
-        self._gens = domain.generators()
+        n = len(domain.generators())
         images = tuple(codomain.normal_form(im) for im in images)
-        if len(images) != len(self._gens):
-            raise ValueError(
-                f"expected {len(self._gens)} generator images, got {len(images)}"
-            )
+        if len(images) != n:
+            raise ValueError(f"expected {n} generator images, got {len(images)}")
         self.images = images
         self._full = None
-        self._injective = None
-        self._surjective = None
-        self._igs = None
         if isinstance(domain, FiniteGroupTable):
             self._full = self._expand_full_map()
         elif check:
@@ -143,6 +163,30 @@ class GroupMap:
             return
         check_relations(self.domain, c, self.images)
 
+    @functools.cached_property
+    def _pc_domain(self):
+        return _pc_group(self.domain)
+
+    @functools.cached_property
+    def _pc_codomain(self):
+        return _pc_group(self.codomain)
+
+    def _pc_images(self):
+        return [_pc_element(self.codomain, im) for im in self.images]
+
+    @functools.cached_property
+    def _image(self):
+        """The image, a subgroup of the codomain's pc presentation."""
+        return Subgroup(self._pc_codomain, self._pc_images())
+
+    @functools.cached_property
+    def _igs(self):
+        """Induced sequence of the images, each carrying its domain
+        generator in the domain's pc presentation as payload."""
+        pd = self._pc_domain
+        items = [(im, pd.gen(k)) for k, im in enumerate(self._pc_images())]
+        return _Igs(self._pc_codomain, payload_parent=pd).build(items)
+
     def apply(self, x):
         x = self.domain.normal_form(x)
         if self._full is not None:
@@ -151,119 +195,37 @@ class GroupMap:
 
     def preimage(self, y):
         """Some domain element mapping to y, or None."""
-        d, c = self.domain, self.codomain
-        y = c.normal_form(y)
-        if isinstance(d, FiniteGroupTable):
-            for i, v in enumerate(self._full):
-                if v == y:
-                    return i
-            return None
-        if isinstance(c, FiniteGroupTable):
-            # walk the finite codomain from the identity, tracking one
-            # domain-side word per reached element
-            steps = []
-            for g, img in zip(self._gens, self.images):
-                steps.append((img, g))
-                steps.append((c.invert(img), d.invert(g)))
-            seen = {c.identity(): d.identity()}
-            frontier = [c.identity()]
-            while frontier:
-                x = frontier.pop(0)
-                for ic, idm in steps:
-                    nc = c.multiply(x, ic)
-                    if nc not in seen:
-                        seen[nc] = d.multiply(seen[x], idm)
-                        frontier.append(nc)
-            return seen.get(y)
-        if isinstance(c, AbelianModule):
-            mat = IntMatrix(self._abelian_image_rows(), cols=c.rank)
-            sol, _ = solve_integer(mat.transpose(), tuple(y))
-            if sol is None:
-                return None
-            x = d.normal_form(tuple(sol[: len(self._gens)]))
-            return x if self.apply(x) == y else None
-        if self._igs is None:
-            payload = d if isinstance(d, PcPresentation) else _pc_of_abelian(d)
-            items = [(self.images[k], payload.gen(k)) for k in range(len(self.images))]
-            self._igs = _Igs(c, payload_parent=payload).build(items)
-        pay = self._igs.sift(y)
+        y = self.codomain.normal_form(y)
+        if self._full is not None:
+            return self._full.index(y) if y in self._full else None
+        pay = self._igs.sift(_pc_element(self.codomain, y))
         if pay is None:
             return None
-        out = d.normal_form(tuple(pay))
+        out = self.domain.normal_form(tuple(pay))
         return out if self.apply(out) == y else None
 
-    def _abelian_image_rows(self):
-        """The generator images, then the torsion relations of the abelian
-        codomain."""
-        return [list(im) for im in self.images] + [
-            list(r) for r in self.codomain.relation_rows()
-        ]
-
-    def _torsion_kernel_trivial(self):
-        """No nontrivial torsion element of the domain maps to the identity."""
-        d = self.domain
-        ident_d = d.identity()
-        ident_c = self.codomain.identity()
-        if isinstance(d, AbelianModule):
-            fr = d.free_rank
-            torsion = [
-                (0,) * fr + tuple(v)
-                for v in itertools.product(*[range(m) for m in d.invariant_factors])
-            ]
-        else:
-            torsion = torsion_data(d).tau_elements
-        for t in torsion:
-            t = d.normal_form(t)
-            if t != ident_d and self.apply(t) == ident_c:
-                return False
-        return True
-
     def is_injective(self):
-        if self._injective is None:
-            self._injective = self._compute_injective()
         return self._injective
 
-    def _compute_injective(self):
-        d, c = self.domain, self.codomain
-        if isinstance(d, FiniteGroupTable):
-            return len(set(self._full)) == d.order
-        orders = _slot_orders(d)
-        if None not in orders:
-            total = math.prod(orders)
-            if total > 4096:
-                raise CapExceeded(f"order {total} exceeds cap 4096")
-            elems = list(itertools.product(*[range(m) for m in orders]))
-            return len({self.apply(x) for x in elems}) == len(elems)
-        if isinstance(c, FiniteGroupTable):
+    @functools.cached_property
+    def _injective(self):
+        if self._full is not None:
+            return len(set(self._full)) == self.domain.order
+        pd = self._pc_domain
+        image_orders = self._image.relative_orders()
+        if image_orders.count(None) != pd.orders.count(None):
             return False
-        if isinstance(c, AbelianModule):
-            if isinstance(d, PcPresentation) and not d.is_abelian():
-                return False
-            mat = IntMatrix(self._abelian_image_rows(), cols=c.rank)
-            _, kernel = solve_integer(mat.transpose(), (0,) * c.rank)
-            for vec in kernel:
-                if any(d.normal_form(tuple(vec[: len(self._gens)]))):
-                    return False
-            return True
-        sub = Subgroup(c, list(self.images))
-        image_hirsch = sum(1 for m in sub.relative_orders() if m is None)
-        if image_hirsch != orders.count(None):
-            return False
-        return self._torsion_kernel_trivial()
+        if None not in pd.orders:
+            return math.prod(image_orders) == math.prod(pd.orders)
+        if all(m is None for m in pd.orders):
+            return True  # a poly-Z group is torsion-free
+        ident = self.codomain.identity()
+        return all(
+            self.apply(t) != ident for t in torsion_data(pd).tau_elements if any(t)
+        )
 
     def is_surjective(self):
-        if self._surjective is None:
-            c = self.codomain
-            if isinstance(c, FiniteGroupTable):
-                self._surjective = len(c.closure(list(self.images))) == c.order
-            elif isinstance(c, AbelianModule):
-                q = AdaptedQuotient(c.rank, self._abelian_image_rows())
-                self._surjective = (
-                    q.module.free_rank == 0 and not q.module.invariant_factors
-                )
-            else:
-                self._surjective = Subgroup(c, list(self.images)).is_whole_group()
-        return self._surjective
+        return self._image.is_whole_group()
 
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
@@ -427,10 +389,6 @@ def graph_isomorphisms(g1, g2):
 
     backtrack(0, {}, set())
     return out
-
-
-def graph_automorphisms(g):
-    return graph_isomorphisms(g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +673,9 @@ def _base_isomorphism(h1, h2, box):
     sweeps += [[_box_elements(h2, b)] * h1.n for b in range(1, box + 1)]
     for candidates in sweeps:
         for images in isomorphisms(h1, h2, candidates):
-            try:
-                GroupHom(h1, h2, images, check=False).inverse()
-            except ValueError:
-                continue
-            return GroupMap(h1, h2, images, check=False), "ok", ""
+            m = GroupMap(h1, h2, images, check=False)
+            if m.is_isomorphism():
+                return m, "ok", ""
     return None, "unknown", "no presentation isomorphism found within the search box"
 
 
@@ -1036,30 +992,10 @@ def spanning_tree(graph):
     return tuple(tree)
 
 
-def _pc_group(h):
-    """The pc presentation a table numbers; any other group itself."""
-    return h.qmap.target if isinstance(h, FiniteGroupTable) else h
-
-
-def _vertex_generator_block(v, h):
-    if isinstance(h, AbelianModule):
-        return [f"{v}_a{i}" for i in range(h.rank)]
-    h = _pc_group(h)
-    return [f"{v}_{h.names[i]}" for i in range(h.n)]
-
-
 def _vertex_relators(h, offset):
+    """The relations of a pc presentation as relator words in the
+    generator block at offset."""
     out = []
-    if isinstance(h, AbelianModule):
-        for i in range(h.rank):
-            for j in range(i + 1, h.rank):
-                out.append(
-                    ((offset + i, -1), (offset + j, -1), (offset + i, 1), (offset + j, 1))
-                )
-        for k, m in enumerate(h.invariant_factors):
-            out.append(((offset + h.free_rank + k, m),))
-        return out
-    h = _pc_group(h)
     for i in range(h.n):
         for j in range(i + 1, h.n):
             img = h.conjugate(h.gen(j), h.gen(i))
@@ -1075,9 +1011,7 @@ def _vertex_relators(h, offset):
 def _element_word(h, x, offset):
     """The word of x in the generator block at offset: its coordinates,
     or for a table element those of its pc normal form."""
-    if isinstance(h, FiniteGroupTable):
-        x = h.elements[x]
-    return tuple((offset + i, e) for i, e in enumerate(x) if e)
+    return tuple((offset + i, e) for i, e in enumerate(_pc_element(h, x)) if e)
 
 
 def fundamental_presentation(x, tree):
@@ -1107,11 +1041,12 @@ def fundamental_presentation(x, tree):
     if len(reach) != len(graph.vertices):
         raise ValueError("tree is not spanning")
 
+    pcs = {v: _pc_group(x.vertex_groups[v]) for v in graph.vertices}
     names = []
     offsets = {}
     for v in graph.vertices:
         offsets[v] = len(names)
-        names.extend(_vertex_generator_block(v, x.vertex_groups[v]))
+        names.extend(f"{v}_{name}" for name in pcs[v].names)
     stable = {}
     for e in graph.edge_pairs():
         if e not in tree_set:
@@ -1120,7 +1055,7 @@ def fundamental_presentation(x, tree):
 
     relators = []
     for v in graph.vertices:
-        relators.extend(_vertex_relators(x.vertex_groups[v], offsets[v]))
+        relators.extend(_vertex_relators(pcs[v], offsets[v]))
     for e in graph.edge_pairs():
         eb = graph.involution[e]
         vt, vo = graph.terminal[e], graph.terminal[eb]

@@ -35,8 +35,21 @@ holds:
                       vectors of a module, or for a table the pc generators
                       of the presentation it numbers, tail first
 
-Algorithms that differ by kind (injectivity, preimages, isomorphism tests)
-still test the class with ``isinstance``.
+Maps between groups of any kinds (``gogiso.GroupMap``) decide injectivity,
+surjectivity and preimages in the pc presentation behind each group: a
+module's abelian twin, with the same coordinates, a table's ``qmap.target``,
+a pc group itself.  What still tests the kind with ``isinstance``, and why:
+
+  - a map from a module checks its commuting and torsion relations, each
+    failure with its own message;
+  - a map from a table expands to the image of every element and answers
+    preimages and injectivity by lookup;
+  - the search for a reference isomorphism between two vertex groups and
+    for a conjugator into an attaching image is complete for modules (by
+    invariants) and tables (over every element), box-limited for pc groups;
+  - ``whitehead.solve_whitehead`` sends each kind to its own solver: an
+    integer-matrix decision for modules, a sweep over every automorphism
+    for tables, a budgeted semi-decision for pc groups.
 """
 
 from __future__ import annotations
@@ -1045,19 +1058,6 @@ class FiniteGroupTable:
         q = self.qmap.target
         return tuple(self._index[q.gen(i)] for i in reversed(range(q.n)))
 
-    def closure(self, gens):
-        seen = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.multiply(x, g), self.multiply(x, self.invert(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return frozenset(seen)
-
     def project(self, x):
         """Index of the image of a source element."""
         return self._index[self.qmap.project(x)]
@@ -1441,11 +1441,11 @@ def isomorphisms(domain, codomain, candidates, congruences=()):
         that image is tried (none, when it is not a candidate).  A
         complete map is kept when it is onto.  Onto suffices for an
         endomorphism of a finitely generated nilpotent group; callers
-        mapping between two presentations still check
-        ``GroupHom.inverse()``.  A congruence is checked like a relation,
-        as soon as every letter of x has an image, in the coordinates of
-        ``codomain.abelianization()``: there the image of x is the sum of
-        the images of its letters.
+        mapping between two presentations still check injectivity
+        (``gogiso.GroupMap.is_isomorphism()``).  A congruence is checked
+        like a relation, as soon as every letter of x has an image, in the
+        coordinates of ``codomain.abelianization()``: there the image of x
+        is the sum of the images of its letters.
       * FiniteGroupTable domain, yielding the image of every element as a
         tuple indexed by element: the k-th generator is the pc generator
         g_i, i = n - 1 - k, of the presentation the table numbers, so its

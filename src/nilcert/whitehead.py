@@ -467,6 +467,9 @@ def verify_finite_witness(f: FiniteGroupTable, s, t, witness) -> bool:
     _check_shapes(s, t)
     phi = list(witness["map"])
     conj = list(witness["conjugators"])
+    # an index is an int: true and false are not read as 1 and 0
+    if any(type(x) is not int for x in phi + conj):
+        return False
     if sorted(phi) != list(range(f.order)) or len(conj) != len(s.tuples):
         return False
     if any(c not in range(f.order) for c in conj):

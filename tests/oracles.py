@@ -26,7 +26,14 @@ from nilcert.nilgroup import (
     verbal_power_subgroup,
 )
 from nilcert.outsep import SurvivalCheck
-from nilcert.zmod import CapExceeded, IndexInfinite, xgcd
+from nilcert.zmod import (
+    AdaptedQuotient,
+    CapExceeded,
+    IndexInfinite,
+    IntMatrix,
+    solve_integer,
+    xgcd,
+)
 
 
 def brute_force_hom_count(a, c):
@@ -441,6 +448,77 @@ def verbal_power_subgroup_over_all_elements(p, k, cap=10**6):
     return qmap.preimage(Subgroup(q, [q.power(e, k) for e in qmap.elements(cap)]))
 
 
+def table_closure(table, gens):
+    """The elements of the subgroup of a table that gens generate, as a
+    frozenset of indices: the Cayley graph walked from the identity."""
+    seen = {0}
+    frontier = [0]
+    gens = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (table.multiply(x, g), table.multiply(x, table.invert(g))):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return frozenset(seen)
+
+
+def _module_map_rows(m):
+    """The generator images of a map into a module, then the module's
+    torsion relations."""
+    return [list(im) for im in m.images] + [list(r) for r in m.codomain.relation_rows()]
+
+
+def module_map_preimage(m, y):
+    """A preimage of y under a GroupMap m into a module, by one integer
+    solve of the image rows against y, or None."""
+    mat = IntMatrix(_module_map_rows(m), cols=m.codomain.rank)
+    sol, _ = solve_integer(mat.transpose(), tuple(y))
+    if sol is None:
+        return None
+    x = m.domain.normal_form(tuple(sol[: len(m.images)]))
+    return x if m.apply(x) == tuple(y) else None
+
+
+def module_map_injective(m):
+    """Whether a GroupMap m from an infinite abelian group (a module or an
+    abelian pc group) into a module is injective: no integer relation
+    among the image rows and the torsion relations gives a nontrivial
+    domain element."""
+    mat = IntMatrix(_module_map_rows(m), cols=m.codomain.rank)
+    _, kernel = solve_integer(mat.transpose(), (0,) * m.codomain.rank)
+    return not any(any(m.domain.normal_form(tuple(v[: len(m.images)]))) for v in kernel)
+
+
+def module_map_surjective(m):
+    """Whether a GroupMap m into a module is onto: the quotient by the
+    image rows and the torsion relations is trivial."""
+    q = AdaptedQuotient(m.codomain.rank, _module_map_rows(m))
+    return q.module.free_rank == 0 and not q.module.invariant_factors
+
+
+def table_map_preimage(m, y):
+    """A preimage of y under a GroupMap m into a table, or None: the table
+    walked from the identity along the generator images and their
+    inverses, one domain word kept per element reached."""
+    d, c = m.domain, m.codomain
+    steps = []
+    for g, img in zip(d.generators(), m.images):
+        steps.append((img, g))
+        steps.append((c.invert(img), d.invert(g)))
+    seen = {c.identity(): d.identity()}
+    frontier = [c.identity()]
+    while frontier:
+        x = frontier.pop(0)
+        for ic, idm in steps:
+            nc = c.multiply(x, ic)
+            if nc not in seen:
+                seen[nc] = d.multiply(seen[x], idm)
+                frontier.append(nc)
+    return seen.get(y)
+
+
 def table_element_order(table, i):
     """The order of element i of a table, by repeated multiplication."""
     k = 1
@@ -457,13 +535,13 @@ def greedy_generators(table):
     """Greedy generating set of a table: repeatedly the least element
     outside the subgroup generated so far."""
     gens = []
-    reach = table.closure(gens)
+    reach = table_closure(table, gens)
     for i in range(table.order):
         if len(reach) == table.order:
             break
         if i not in reach:
             gens.append(i)
-            reach = table.closure(gens)
+            reach = table_closure(table, gens)
     return tuple(gens)
 
 

@@ -451,6 +451,22 @@ def test_verify_rejects_an_out_of_range_finite_conjugator(tmp_path, capsys):
     assert_verify_rejects(report, capsys)
 
 
+@pytest.mark.parametrize("field, value", [("conjugators", [False]), ("map", [False, True])])
+def test_verify_rejects_a_boolean_finite_witness_entry(field, value, tmp_path, capsys):
+    """An index is a JSON integer: false and true are not 0 and 1."""
+    instance = {"group": {"kind": "finite", "text": "group C\ngen a order 2\n"},
+                "s": [[1]], "t": [[1]]}
+    code, _ = whitehead_round_trip(instance, [], tmp_path, capsys)
+    assert code == 0
+    report = tmp_path / "r.json"
+    data = json.loads(report.read_text())
+    witness = data["payload"]["result"]["witness"]
+    assert witness[field] == [int(v) for v in value]
+    witness[field] = value
+    report.write_text(json.dumps(data))
+    assert_verify_rejects(report, capsys)
+
+
 @pytest.fixture(scope="module")
 def refutation_report(tmp_path_factory):
     """The report of H3, (z) vs (z^2), refuted in G/G^4."""
@@ -583,6 +599,25 @@ def test_quotient_cap_is_a_cap_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # ucs and elusive: pinned --json stdout, report -> verify, tampering
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"free_rank": True, "invariant_factors": [2]}, "free_rank must be a nonnegative integer"),
+        ({"free_rank": 0, "invariant_factors": [True, 2]}, "invariant factors must be integers >= 2"),
+        ({"free_rank": 1, "invariant_factors": 2}, "invariant factors must be integers >= 2"),
+    ],
+)
+def test_whitehead_rejects_a_malformed_abelian_group_spec(group, message, tmp_path, capsys):
+    """true is not the free rank 1, nor an invariant factor, and the
+    invariant factors are a list."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"group": {"kind": "abelian", **group},
+                                "s": [[[1, 0]]], "t": [[[1, 1]]]}))
+    code, out = run(["whitehead", str(path), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "parse", "message": message}}
 
 
 def verified_report(argv, kind, tmp_path, capsys):

@@ -2,11 +2,20 @@
 handles, isomorphism verification and decision, and fundamental group
 presentations."""
 
+import itertools
 import random
 
 import pytest
 
-from oracles import table_element_order, table_relator_abelianization
+from oracles import (
+    module_map_injective,
+    module_map_preimage,
+    module_map_surjective,
+    table_closure,
+    table_element_order,
+    table_map_preimage,
+    table_relator_abelianization,
+)
 from nilcert.gogiso import (
     ExtensionAdjustment,
     GoGIsomorphism,
@@ -16,7 +25,6 @@ from nilcert.gogiso import (
     assemble_isomorphism,
     decide_gog_iso,
     fundamental_presentation,
-    graph_automorphisms,
     graph_isomorphisms,
     identity_map,
     spanning_tree,
@@ -24,7 +32,14 @@ from nilcert.gogiso import (
     verify_gog_isomorphism,
     verify_gog_witness,
 )
-from nilcert.nilgroup import PcPresentation, Subgroup, quotient_table
+from nilcert.nilgroup import (
+    FiniteGroupTable,
+    PcPresentation,
+    Subgroup,
+    center,
+    generates_abelianization,
+    quotient_table,
+)
 from nilcert.zmod import AbelianModule
 
 
@@ -111,10 +126,11 @@ def test_graph_incidence_and_links():
 
 
 def test_graph_automorphism_counts():
-    assert len(graph_automorphisms(segment_graph())) == 1
-    assert len(graph_automorphisms(segment_graph(colors=False))) == 2
+    assert len(graph_isomorphisms(segment_graph(), segment_graph())) == 1
+    uncolored = segment_graph(colors=False)
+    assert len(graph_isomorphisms(uncolored, uncolored)) == 2
     # a loop has two orientations
-    assert len(graph_automorphisms(loop_graph())) == 2
+    assert len(graph_isomorphisms(loop_graph(), loop_graph())) == 2
 
 
 def test_graph_isomorphisms_relabel():
@@ -146,7 +162,7 @@ def test_graph_isomorphisms_respect_colors():
     two_black = path({"u": "black", "v": "white", "x": "black"})
     two_white = path({"u": "white", "v": "black", "x": "white"})
     assert graph_isomorphisms(two_black, two_white) == []
-    assert len(graph_automorphisms(two_black)) == 2
+    assert len(graph_isomorphisms(two_black, two_black)) == 2
     # swapping every color still permits the color-preserving flip
     g1 = segment_graph()
     swapped = Graph(
@@ -272,6 +288,24 @@ def test_group_map_between_different_tables():
     m = GroupMap(t1, t2, [image])
     assert m.is_isomorphism()
     assert m.preimage(image) == g1
+
+
+def test_group_map_builds_one_image_subgroup(monkeypatch):
+    """``is_isomorphism`` asks for the Hirsch length of the image and
+    whether it is the whole group; both read one image subgroup."""
+    heis = heisenberg()
+    images = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    built = []
+    original = Subgroup.__init__
+
+    def counting(self, parent, gens, normal_closure=False):
+        built.append(tuple(gens))
+        original(self, parent, gens, normal_closure)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting)
+    m = GroupMap(heis, heis, images)
+    assert m.is_isomorphism()
+    assert built.count(images) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -992,3 +1026,144 @@ def test_decide_black_groups_given_by_two_presentations():
     verdict = decide_gog_iso(x1, x2, {"w": [identity_map(x2.vertex_groups["w"])]})
     assert verdict.is_equivalent()
     assert verify_gog_witness(x1, x2, verdict.witness)
+
+
+# ---------------------------------------------------------------------------
+# group maps against brute force and the algorithms they replaced
+
+
+def h3_times_c2():
+    return PcPresentation(
+        ["x", "y", "z", "w"], [None, None, None, 2], conj={(0, 1): (0, 1, -1, 0)}
+    )
+
+
+CROSS_CHECK_GROUPS = {
+    "module": lambda: [
+        AbelianModule(1, []), AbelianModule(2, []), AbelianModule(1, [2]), AbelianModule(0, [4])
+    ],
+    "table": lambda: [quotient_table(p, Subgroup(p, [])) for p in FINITE_VERTEX_GROUPS.values()],
+    "pc": lambda: [
+        heisenberg(),
+        PcPresentation(["x", "y", "z"], [None] * 3, conj={(0, 1): (0, 1, 2)}),
+        h3_times_c2(),
+    ],
+}
+
+
+def _box(g, radius):
+    """Every element of a table or finite module; otherwise the normal
+    forms with coordinates in [-radius, radius]."""
+    if isinstance(g, FiniteGroupTable):
+        return list(range(g.order))
+    if isinstance(g, AbelianModule) and g.is_finite():
+        return [tuple(x) for x in g.elements()]
+    n = len(g.identity())
+    return sorted({g.normal_form(v) for v in itertools.product(range(-radius, radius + 1), repeat=n)})
+
+
+def _central(g):
+    if isinstance(g, FiniteGroupTable):
+        return [x for x, (_, height) in enumerate(g.signatures()) if height <= 1]
+    if isinstance(g, AbelianModule):
+        return _box(g, 2)
+    return list(center(g).gens) + [g.identity()]
+
+
+def _random_images(rng, d, c):
+    """Generator images d -> c, most of which respect d's relations: a
+    module's free generators go to commuting elements and its torsion
+    generators to elements of fitting order, an H3-type domain's z goes
+    to [x', y'], and a table's generators to elements whose order divides
+    theirs."""
+    pool = _box(c, 1)
+    mul = c.multiply
+
+    def killed_by(k):
+        return [t for t in pool if c.power(t, k) == c.identity()]
+
+    if isinstance(d, AbelianModule):
+        u, z = rng.choice(pool), rng.choice(_central(c))
+        images = [
+            mul(c.power(u, rng.randint(-2, 2)), c.power(z, rng.randint(-2, 2)))
+            for _ in range(d.free_rank)
+        ]
+        return images + [rng.choice(killed_by(k)) for k in d.invariant_factors]
+    if isinstance(d, PcPresentation):
+        x, y = rng.choice(pool), rng.choice(pool)
+        images = [x, y, mul(mul(c.invert(x), c.invert(y)), mul(x, y))]
+        return images + [rng.choice(_central(c)) for _ in range(d.n - 3)]
+    orders = [order for order, _ in d.signatures()]
+    return [rng.choice(killed_by(orders[g])) for g in d.generators()]
+
+
+def _random_map(rng, d, c):
+    for _ in range(30):
+        try:
+            return GroupMap(d, c, _random_images(rng, d, c))
+        except ValueError:
+            pass
+    return GroupMap(d, c, [c.identity()] * len(d.generators()))
+
+
+def _is_finite(g):
+    return isinstance(g, FiniteGroupTable) or (isinstance(g, AbelianModule) and g.is_finite())
+
+
+def _check_against_references(m, rng):
+    d, c = m.domain, m.codomain
+    box = _box(d, 2)
+    image = {}
+    for x in box:
+        image.setdefault(m.apply(x), x)
+    kernel = [x for x in box if x != d.identity() and m.apply(x) == c.identity()]
+    ys = [m.apply(rng.choice(box)) for _ in range(3)] + [rng.choice(_box(c, 2)) for _ in range(3)]
+    for y in ys:
+        pre = m.preimage(y)
+        assert pre is None or m.apply(pre) == y
+        if _is_finite(d):
+            assert (pre is not None) == (y in image)
+        elif isinstance(c, AbelianModule):
+            assert (pre is not None) == (module_map_preimage(m, y) is not None)
+        elif isinstance(c, FiniteGroupTable):
+            assert (pre is not None) == (table_map_preimage(m, y) is not None)
+        elif y in image:
+            assert pre is not None
+    if _is_finite(d):
+        assert m.is_injective() == (len(image) == len(box))
+    elif isinstance(c, FiniteGroupTable):
+        assert not m.is_injective()
+    elif isinstance(c, AbelianModule):
+        abelian = isinstance(d, AbelianModule) or d.is_abelian()
+        assert m.is_injective() == (abelian and module_map_injective(m))
+    else:
+        # a kernel element, when there is one, lies in the box
+        assert m.is_injective() == (not kernel)
+    if isinstance(c, FiniteGroupTable):
+        assert m.is_surjective() == (len(table_closure(c, m.images)) == c.order)
+    elif isinstance(c, AbelianModule):
+        assert m.is_surjective() == module_map_surjective(m)
+    else:
+        assert m.is_surjective() == generates_abelianization(c, m.images)
+    if _is_finite(d) and _is_finite(c):
+        assert m.is_surjective() == (len(image) == len(_box(c, 0)))
+
+
+@pytest.mark.parametrize("domain_kind", sorted(CROSS_CHECK_GROUPS))
+@pytest.mark.parametrize("codomain_kind", sorted(CROSS_CHECK_GROUPS))
+def test_group_map_decisions_match_brute_force_on_random_maps(domain_kind, codomain_kind):
+    """``preimage``, ``is_injective`` and ``is_surjective``, decided in the
+    pc presentation behind the codomain, against brute force over the
+    domain where it is finite, and otherwise against the integer solve
+    (module codomain), the walk from the identity (table codomain) or a
+    kernel search in a box and the abelianization (pc codomain)."""
+    rng = random.Random(f"group-map:{domain_kind}:{codomain_kind}")
+    domains = CROSS_CHECK_GROUPS[domain_kind]()
+    codomains = CROSS_CHECK_GROUPS[codomain_kind]()
+    for d, c in itertools.product(domains, codomains):
+        for _ in range(2):
+            _check_against_references(_random_map(rng, d, c), rng)
+    for g in codomains if domain_kind == codomain_kind else ():
+        m = identity_map(g)
+        assert m.is_isomorphism()
+        _check_against_references(m, rng)
