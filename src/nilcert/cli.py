@@ -10,6 +10,7 @@ alone.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -675,6 +676,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the process, since
+    parsing leaves no state in it.  A one-shot run builds it once either
+    way; in-process callers of ``main`` no longer rebuild it per call."""
+    return build_parser()
+
+
 def _input_hashes(args):
     hashes = {}
     for attr in ("pcp", "instance", "first", "second", "orbits", "target"):
@@ -686,9 +695,8 @@ def _input_hashes(args):
 
 def main(argv=None):
     eff = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(eff)
+        args = _parser().parse_args(eff)
         start = time.monotonic()
         result, payload, lines, code, transcript = args.fn(args)
         wall = time.monotonic() - start

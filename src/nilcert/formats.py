@@ -270,16 +270,6 @@ def load_pcp(path) -> PcpFile:
         return parse_pcp(fh.read())
 
 
-def presentations_equal(a: PcPresentation, b: PcPresentation) -> bool:
-    return (
-        a.names == b.names
-        and a.orders == b.orders
-        and a.conj == b.conj
-        and a.conj_inv == b.conj_inv
-        and a.powers == b.powers
-    )
-
-
 # ---------------------------------------------------------------------------
 # group specs shared by .gog files and instance files
 
@@ -493,10 +483,6 @@ def gog_from_data(raw, base_dir=".", cap=10**6) -> GogFile:
         ],
     }
     return GogFile(name, data, gog)
-
-
-def serialize_gog(gogfile: GogFile) -> str:
-    return json.dumps(gogfile.data, indent=2, sort_keys=True) + "\n"
 
 
 def load_gog(path, cap=10**6) -> GogFile:

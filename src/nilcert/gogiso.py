@@ -68,14 +68,20 @@ def _pc_group(h):
     """The pc presentation behind a group handle: for a table, the one
     whose normal forms it numbers; for a module, its abelian twin a0, a1,
     ... with the same coordinates (free slots first, torsion orders
-    after), built afresh on each call; a pc group itself.  The twin has
-    no conjugation or power relations, so it skips the overlap checks,
-    which would all hold."""
+    after); a pc group itself.  The twin has no conjugation or power
+    relations, so it skips the overlap checks, which would all hold.  It
+    is built once per module and kept on the module itself, so that every
+    map from or to the module shares it and it is freed with the module;
+    the module is a frozen dataclass, hence the write to its ``__dict__``."""
     if isinstance(h, FiniteGroupTable):
         return h.qmap.target
     if isinstance(h, AbelianModule):
-        orders = [None] * h.free_rank + list(h.invariant_factors)
-        return PcPresentation([f"a{i}" for i in range(h.rank)], orders, check=False)
+        twin = h.__dict__.get("_pc_twin")
+        if twin is None:
+            orders = [None] * h.free_rank + list(h.invariant_factors)
+            twin = PcPresentation([f"a{i}" for i in range(h.rank)], orders, check=False)
+            h.__dict__["_pc_twin"] = twin
+        return twin
     return h
 
 
@@ -102,7 +108,7 @@ class GroupMap:
     torsion relations, with their own messages.
 
     The rest is decided in the pc presentations behind the two groups
-    (``_pc_group``), each built at most once per map.  The image is one
+    (``_pc_group``), a module's built once per module.  The image is one
     ``Subgroup`` there, and the map is onto when it is the whole group.
     Preimages sift through an induced sequence of the images that carries
     the domain generators as payloads (Holt, Eick & O'Brien, *Handbook of

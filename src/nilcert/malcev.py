@@ -153,10 +153,6 @@ def matrix_to_json(m) -> list:
     return [[str(x) for x in r] for r in m.entries]
 
 
-def matrix_from_json(data) -> QMatrix:
-    return QMatrix(tuple(tuple(_frac(x) for x in row) for row in data))
-
-
 class UniTriangular:
     """Upper triangular rational matrix with unit diagonal."""
 

@@ -4,11 +4,24 @@ Elements are normal-form exponent vectors g_1^{e_1} ... g_n^{e_n} (tuples of
 ints, torsion exponents reduced into [0, m_i)).  Commutator convention:
 [x, y] = x^-1 y^-1 x y;  Ad_g(x) = g^-1 x g = x [x, g].
 
-Collection is from the left.  A conjugation relation g_j^{g_i} (or
-g_j^{g_i^-1}) has the shape g_j^u * (tail supported strictly beyond j).  For an
-infinite-order g_j the diagonal exponent u must be 1; for g_j of relative order
-m_j it must be a unit mod m_j acting unipotently, i.e. every prime dividing m_j
-divides u - 1 (so g_j^a = g_j^3 with m_j = 4 is accepted, m_j = 5 is not).
+A conjugation relation g_j^{g_i} (or g_j^{g_i^-1}) has the shape g_j^u *
+(tail supported strictly beyond j).  For an infinite-order g_j the diagonal
+exponent u must be 1; for g_j of relative order m_j it must be a unit mod m_j
+acting unipotently, i.e. every prime dividing m_j divides u - 1 (so
+g_j^a = g_j^3 with m_j = 4 is accepted, m_j = 5 is not).
+
+Products take one of two paths, chosen at construction by the shape of the
+relations.  When every diagonal exponent is 1 and every commutator and power
+tail lies on central generators (those in no nontrivial conjugation
+relation), the group has class at most two and products, inverses, powers
+and normal forms are read off the relations in closed form
+(``_CentralTails``): H3 and its torsion variants, H5, their direct products
+with abelian groups, and their finite quotients G/G^k.  Every other
+presentation -- a tail off the central generators, as in class three and
+more (F4, UT4), or a diagonal exponent other than 1 (Z acting on Z/4 by
+inversion) -- is collected from the left.  Both paths return the unique
+normal form of a consistent presentation, so they agree; the closed form
+presumes consistency, so the overlap checks always collect.
 
 When every diagonal exponent is 1, the weight function computed from the tails
 certifies nilpotency and bounds every layered computation, as in a weighted
@@ -54,6 +67,7 @@ a pc group itself.  What still tests the kind with ``isinstance``, and why:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -96,6 +110,102 @@ def _lead(nf):
     return None
 
 
+class _CentralTails:
+    """Closed-form arithmetic of a class-two presentation whose tails are
+    central (Hall, *Nilpotent groups*, 1957).
+
+    With t_jk the commutator tail of g_k^{g_j} = g_k t_jk, j < k, central,
+    g_k^a g_j^b = g_j^b g_k^a t_jk^{ab} for all integers a and b, so for
+    exponent vectors a, b of any range
+
+        a b  ~  a + b + sum_{j<k} a_k b_j t_jk
+        a^k  ~  k a + C(k, 2) sum_{j<l} a_l a_j t_jl    (Hall-Petresco)
+
+    as words g_1^{s_1} ... g_n^{s_n}.  ``carry`` reduces such a word to its
+    normal form: in index order, s_i = q m_i + r for each finite m_i, and
+    since the power tail p_i = g_i^{m_i} is central, g_i^{s_i} = g_i^r
+    p_i^q adds q p_i beyond i."""
+
+    __slots__ = ("n", "tails", "carries")
+
+    def __init__(self, n, tails, carries):
+        self.n = n
+        self.tails = tails  # (j, k, t_jk) with t_jk sparse, j < k
+        self.carries = carries  # (i, m_i, p_i) with p_i sparse, in index order
+
+    @classmethod
+    def read(cls, p):
+        """The tails of p when every diagonal exponent is 1 (the caller's
+        check) and every tail lies on central generators, else None.  A
+        generator is central when it is in no nontrivial conjugation
+        relation."""
+        # v[:j] = 0 and v[j] = 1 by the shape checks, so the relation
+        # g_j^{g_i} = v is trivial when v is zero beyond j
+        rels = [
+            (i, j, v)
+            for src in (p.conj, p.conj_inv)
+            for (i, j), v in src.items()
+            if any(v[j + 1 :])
+        ]
+        moved = {k for i, j, _v in rels for k in (i, j)}
+
+        def central(v, start):
+            out = tuple((k, e) for k, e in enumerate(v[start:], start) if e)
+            return out if moved.isdisjoint(k for k, _e in out) else None
+
+        if any(central(v, j + 1) is None for _i, j, v in rels):
+            return None
+        tails = tuple(
+            (i, j, central(v, j + 1)) for (i, j), v in sorted(p.conj.items()) if any(v[j + 1 :])
+        )
+        carries = []
+        for i, m in enumerate(p.orders):
+            if m is not None:
+                t = central(p.powers.get(i, ()), i + 1)
+                if t is None:
+                    return None
+                carries.append((i, m, t))
+        return cls(p.n, tails, tuple(carries))
+
+    def carry(self, s):
+        for i, m, tail in self.carries:
+            q, s[i] = divmod(s[i], m)
+            if q:
+                for k, e in tail:
+                    s[k] += q * e
+        return tuple(s)
+
+    def multiply(self, a, b):
+        s = [x + y for x, y in zip(a, b)]
+        for j, k, tail in self.tails:
+            c = a[k] * b[j]
+            if c:
+                for idx, e in tail:
+                    s[idx] += c * e
+        return self.carry(s)
+
+    def power(self, a, k):
+        s = [k * x for x in a]
+        binom = k * (k - 1) // 2
+        if binom:
+            for j, l, tail in self.tails:
+                c = binom * a[l] * a[j]
+                if c:
+                    for idx, e in tail:
+                        s[idx] += c * e
+        return self.carry(s)
+
+    def collect(self, word):
+        x = (0,) * self.n
+        for i, e in word:
+            if not (0 <= i < self.n):
+                raise ValueError(f"generator index {i} out of range")
+            g = [0] * self.n
+            g[i] = int(e)
+            x = self.multiply(x, g)
+        return x
+
+
 class PcPresentation:
     """Polycyclic presentation of a f.g. nilpotent group.
 
@@ -108,6 +218,14 @@ class PcPresentation:
     the lower central series at construction, and a series that has not
     reached the trivial group within the class bound raises NotNilpotent.
     ``check=False`` skips only the overlap (consistency) checks.
+
+    ``multiply``, ``invert``, ``power``, ``normal_form`` and ``collect``
+    use the closed form of ``_CentralTails`` when the relations have
+    central tails (see the module docstring), and the collector otherwise.
+    ``check_consistency`` evaluates the overlaps by collection in either
+    case, also when called later on a ``check=False`` presentation: the
+    closed form assumes the consistency the overlaps test, so it cannot be
+    trusted to reveal their failure.
     """
 
     def __init__(self, names, orders, conj=None, conj_inv=None, powers=None, check=True):
@@ -153,6 +271,7 @@ class PcPresentation:
         self._relations = None
         self._hom_star_space = None
         self._torsion_data = {}
+        self._class_two = _CentralTails.read(self) if unit_diagonal else None
         if unit_diagonal:
             self.nilpotency_class = max(self.weights) if self.n else 1
             self._class_bound = self.nilpotency_class
@@ -239,6 +358,8 @@ class PcPresentation:
             raise ValueError("element length mismatch")
         if all(m is None or 0 <= e < m for e, m in zip(vec, self.orders)):
             return vec
+        if self._class_two is not None:
+            return self._class_two.carry(list(vec))
         return self.collect([(i, e) for i, e in enumerate(vec) if e])
 
     def _power_tail(self, i):
@@ -349,6 +470,8 @@ class PcPresentation:
     def collect(self, word):
         """Collect a word, given as (generator index, exponent) pairs, to
         its normal form."""
+        if self._class_two is not None:
+            return self._class_two.collect(word)
         x = self.identity()
         for i, e in word:
             if not (0 <= i < self.n):
@@ -359,6 +482,8 @@ class PcPresentation:
     def multiply(self, a, b):
         if len(a) != self.n or len(b) != self.n:
             raise ValueError("element length mismatch (parent mismatch?)")
+        if self._class_two is not None:
+            return self._class_two.multiply(a, b)
         x = a
         for i in range(self.n):
             if b[i]:
@@ -366,6 +491,8 @@ class PcPresentation:
         return x
 
     def invert(self, a):
+        if self._class_two is not None:
+            return self._class_two.power(a, -1)
         x = self.identity()
         for i in range(self.n - 1, -1, -1):
             if a[i]:
@@ -374,6 +501,8 @@ class PcPresentation:
 
     def power(self, a, k):
         k = int(k)
+        if self._class_two is not None:
+            return self._class_two.power(a, k)
         if k < 0:
             a, k = self.invert(a), -k
         res = self.identity()
@@ -398,9 +527,25 @@ class PcPresentation:
 
     # -- consistency ---------------------------------------------------------
 
+    @contextlib.contextmanager
+    def _collector_only(self):
+        """Within the block, every product of this presentation is collected,
+        whatever its shape."""
+        kernel, self._class_two = self._class_two, None
+        try:
+            yield
+        finally:
+            self._class_two = kernel
+
     def check_consistency(self):
         """Evaluate the standard overlap conditions by collection; raises
-        Inconsistent naming the violated overlap."""
+        Inconsistent naming the violated overlap.  The closed form of
+        ``_CentralTails`` holds only in a consistent presentation, so the
+        overlaps never use it."""
+        with self._collector_only():
+            self._check_overlaps()
+
+    def _check_overlaps(self):
         g = self.gen
         mult = self.multiply
         for i in range(self.n):
@@ -446,15 +591,6 @@ class PcPresentation:
         return all(v == self.gen(j) for (i, j), v in self.conj.items())
 
     # -- misc ----------------------------------------------------------------
-
-    def random_element(self, rng, box=3):
-        out = []
-        for m in self.orders:
-            if m is None:
-                out.append(rng.randint(-box, box))
-            else:
-                out.append(rng.randint(0, m - 1))
-        return tuple(out)
 
     def abelian_relation_rows(self):
         """The relations of G^ab = Z^n / rows, one per conjugation and power
@@ -570,13 +706,17 @@ class _Igs:
             return
 
     def _closure_defects(self, normal_closure):
+        """Residues of the elements the pivots must absorb.  By the
+        criterion for induced pc sequences (Holt, Eick & O'Brien,
+        *Handbook of Computational Group Theory*, 2005, section 8.3) these
+        are b^a and b^{a^-1} for a of smaller depth than b, and a^r for r
+        the relative order of a; for a normal closure, also the conjugates
+        of each pivot by every parent generator and its inverse."""
         out = []
         pivots = [self.piv[d] for d in sorted(self.piv)]
         cands = []
-        for a in pivots:
-            for b in pivots:
-                if a is b:
-                    continue
+        for pos, a in enumerate(pivots):
+            for b in pivots[pos + 1 :]:
                 cands.append(self._pconj(b, a))
                 cands.append(self._pconj(b, self._pinv(a)))
             d = _lead(a[0])
@@ -1377,11 +1517,6 @@ class GroupHom:
 
 def identity_hom(p) -> GroupHom:
     return GroupHom(p, p, [p.gen(i) for i in range(p.n)], check=False)
-
-
-def inner_automorphism(p, g) -> GroupHom:
-    g = p.normal_form(g)
-    return GroupHom(p, p, [p.conjugate(p.gen(i), g) for i in range(p.n)], check=False)
 
 
 def is_inner(h: GroupHom):

@@ -92,15 +92,6 @@ class HomStarSpace:
     def zero(self) -> "HomStar":
         return HomStar(self, self.hom.module.identity())
 
-    def from_center_images(self, images) -> "HomStar":
-        """The map sending generator k to the given central element.
-
-        Raises ValueError when the images do not define a homomorphism
-        that kills the centre.
-        """
-        crows = [self.center_coords(self.p.normal_form(v)) for v in images]
-        return self._assemble(crows)
-
     def _assemble(self, crows) -> "HomStar":
         cmod = self.center_module
         mat = []
@@ -162,9 +153,6 @@ class HomStar:
 
     def __hash__(self):
         return hash(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def multiply(self, other: "HomStar") -> "HomStar":
         if self.space is not other.space:

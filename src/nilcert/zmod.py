@@ -401,20 +401,6 @@ class AbelianModule:
         n = self.rank
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
-    def element_order(self, x) -> int:
-        """Order of x (0 meaning infinite)."""
-        x = self.normal_form(x)
-        if any(x[: self.free_rank]):
-            return 0
-        n = 1
-        s = self.free_rank
-        for v, f in zip(x[s:], self.invariant_factors):
-            if v:
-                g, _, _ = xgcd(v, f)
-                k = f // g
-                n = n * k // xgcd(n, k)[0]
-        return n
-
     def relation_rows(self) -> list[tuple]:
         s = self.free_rank
         n = self.rank
@@ -534,16 +520,6 @@ class Submodule:
 
     def join(self, other: "Submodule") -> "Submodule":
         return Submodule(self.ambient, self.gens + other.gens)
-
-    def index_in_ambient(self) -> int:
-        """[ambient : self], raises IndexInfinite when infinite."""
-        n = self.ambient.rank
-        if len(self.lattice) != n:
-            raise IndexInfinite("submodule has infinite index")
-        idx = 1
-        for i, row in enumerate(self.lattice):
-            idx *= row[i] if row[i] else 0
-        return idx
 
 
 def isolator(s: Submodule) -> Submodule:

@@ -6,6 +6,8 @@ tests can compare the two.
 """
 
 import itertools
+import json
+from fractions import Fraction
 from itertools import product as iproduct
 
 from nilcert import whitehead
@@ -13,11 +15,14 @@ from nilcert.gogiso import Presentation
 from nilcert.malcev import QMatrix, UniTriangular
 from nilcert.nilgroup import (
     GroupHom,
+    Inconsistent,
     PcPresentation,
     QuotientMap,
     Subgroup,
     _abelian_torsion_gens,
     _element_order,
+    _Igs,
+    _lead,
     _table_block,
     center,
     isomorphisms,
@@ -364,11 +369,17 @@ def verify_relations_in_fractions(p, images):
 
 class IterativeCollector(PcPresentation):
     """The collector that conjugates by g_i^e by applying (.)^{g_i^{+-1}}
-    |e| times, one generator image at a time."""
+    |e| times, one generator image at a time.  It collects every product,
+    whatever the shape of the presentation: the closed form of
+    ``nilgroup._CentralTails`` is switched off."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._class_two = None
 
     @classmethod
-    def of(cls, p):
-        return cls(p.names, p.orders, p.conj, p.conj_inv, p.powers)
+    def of(cls, p, check=True):
+        return cls(p.names, p.orders, p.conj, p.conj_inv, p.powers, check=check)
 
     def _apply_conj_map(self, i, sign, x):
         """Apply the generator-wise conjugation map (.)^{g_i^sign} to x in T_{>i}."""
@@ -710,3 +721,129 @@ def eager_torsion_data(p, cap=10**6):
         if all(not v.contains(t) for t in tau_elements if any(t)):
             return TorsionData(p, tau, tau_elements, m, v)
     raise CapExceeded("no separating power exponent found within the search range")
+
+
+# ---------------------------------------------------------------------------
+# helpers no package code calls, kept for the tests
+
+
+def random_element(p, rng, box=3):
+    """A random normal form of p: infinite exponents in [-box, box], finite
+    ones over their whole range."""
+    return tuple(
+        rng.randint(-box, box) if m is None else rng.randint(0, m - 1) for m in p.orders
+    )
+
+
+def inner_automorphism(p, g) -> GroupHom:
+    g = p.normal_form(g)
+    return GroupHom(p, p, [p.conjugate(p.gen(i), g) for i in range(p.n)], check=False)
+
+
+def module_element_order(m, x) -> int:
+    """Order of x in the abelian module m (0 meaning infinite)."""
+    x = m.normal_form(x)
+    if any(x[: m.free_rank]):
+        return 0
+    n = 1
+    for v, f in zip(x[m.free_rank :], m.invariant_factors):
+        if v:
+            k = f // xgcd(v, f)[0]
+            n = n * k // xgcd(n, k)[0]
+    return n
+
+
+def index_in_ambient(s) -> int:
+    """[ambient : s] for a submodule s, raises IndexInfinite when infinite."""
+    if len(s.lattice) != s.ambient.rank:
+        raise IndexInfinite("submodule has infinite index")
+    idx = 1
+    for i, row in enumerate(s.lattice):
+        idx *= row[i]
+    return idx
+
+
+def matrix_from_json(data) -> QMatrix:
+    """Inverse of ``malcev.matrix_to_json``."""
+    return QMatrix(tuple(tuple(Fraction(x) for x in row) for row in data))
+
+
+def from_center_images(space, images):
+    """The HomStar of space sending generator k to the given central
+    element; ValueError when the images do not define a homomorphism that
+    kills the centre."""
+    crows = [space.center_coords(space.p.normal_form(v)) for v in images]
+    return space._assemble(crows)
+
+
+def hom_star_is_zero(f) -> bool:
+    return not any(f.coords)
+
+
+def presentations_equal(a: PcPresentation, b: PcPresentation) -> bool:
+    return (
+        a.names == b.names
+        and a.orders == b.orders
+        and a.conj == b.conj
+        and a.conj_inv == b.conj_inv
+        and a.powers == b.powers
+    )
+
+
+def serialize_gog(gogfile) -> str:
+    return json.dumps(gogfile.data, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the collector and the closure that faster paths replace
+
+
+def collector_only(p):
+    """Context in which p multiplies, inverts, powers and collects by the
+    collector alone, even where the closed form of
+    ``nilgroup._CentralTails`` applies."""
+    return p._collector_only()
+
+
+def overlaps_hold_by_iterative_collection(p):
+    """Whether every overlap of p's relations holds when evaluated by the
+    iterative collector, which never takes the closed form."""
+    try:
+        IterativeCollector.of(p, check=False).check_consistency()
+    except Inconsistent:
+        return False
+    return True
+
+
+class _AllPairsIgs(_Igs):
+    """Induced sequence closure that conjugates every pivot by every other
+    one and its inverse, in both orders."""
+
+    def _closure_defects(self, normal_closure):
+        pivots = [self.piv[d] for d in sorted(self.piv)]
+        cands = []
+        for a in pivots:
+            for b in pivots:
+                if a is not b:
+                    cands.append(self._pconj(b, a))
+                    cands.append(self._pconj(b, self._pinv(a)))
+            d = _lead(a[0])
+            m = self.p.orders[d]
+            if m is not None:
+                cands.append(self._ppow(a, m // a[0][d]))
+        if normal_closure:
+            for a in pivots:
+                for k in range(self.p.n):
+                    gk = (self.p.gen(k), None)
+                    cands.append(self._pconj(a, gk))
+                    cands.append(self._pconj(a, self._pinv(gk)))
+        residues = (self._residue(c) for c in cands)
+        return [r for r in residues if not self._is_id(r)]
+
+
+def all_pairs_subgroup_gens(p, gens, normal_closure=False):
+    """The canonical generators of ``Subgroup(p, gens, normal_closure)``,
+    built with the all-pairs closure."""
+    items = [(p.normal_form(g), None) for g in gens]
+    igs = _AllPairsIgs(p).build(items, normal_closure=normal_closure)
+    return tuple(igs.piv[d][0] for d in sorted(igs.piv))

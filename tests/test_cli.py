@@ -402,6 +402,35 @@ def test_options_a_subcommand_ignores_are_usage_errors(argv, mixed_pcp, capsys):
     assert json.loads(out)["error"]["code"] == "usage"
 
 
+def test_one_parser_serves_every_call_of_a_process(mixed_pcp, capsys, monkeypatch):
+    """A usage error, then two different subcommands, through the parser
+    kept for the process, print what parsers built afresh for each call
+    print."""
+    argvs = [
+        ["nf", mixed_pcp, "b", "--seed", "3", "--json"],
+        ["nf", mixed_pcp, "b a b", "--json"],
+        ["torsion", mixed_pcp, "--json"],
+    ]
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    kept = [run(argv, capsys) for argv in argvs]
+    assert len(built) == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert len(built) == 4
+    assert kept == fresh
+    assert [code for code, _out in kept] == [1, 0, 0]
+
+
 def test_verify_rejects_a_witness_that_breaks_a_commuting_pair(tmp_path, capsys):
     h3z = H3.replace("conj", "gen w order inf\nconj")
     instance = {"group": {"kind": "pc", "text": h3z}, "s": [[[0, 0, 0, 1]]], "t": [[[0, 0, 0, 1]]]}

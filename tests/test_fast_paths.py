@@ -12,7 +12,10 @@ import pytest
 
 from oracles import (
     IterativeCollector,
+    all_pairs_subgroup_gens,
     eager_torsion_data,
+    inner_automorphism,
+    random_element,
     survives_by_table_scan,
     verbal_power_subgroup_over_all_elements,
 )
@@ -24,7 +27,6 @@ from nilcert.nilgroup import (
     QuotientMap,
     Subgroup,
     generates_abelianization,
-    inner_automorphism,
     intersect_finite_index,
     torsion_data,
     verbal_power_subgroup,
@@ -86,7 +88,7 @@ def _agree(p, rng, box, count):
     slow = IterativeCollector.of(p)
     checked = 0
     for _ in range(count):
-        a, b = p.random_element(rng, box), p.random_element(rng, box)
+        a, b = random_element(p, rng, box), random_element(p, rng, box)
         k = rng.randint(-box, box)
         assert p.multiply(a, b) == slow.multiply(a, b)
         assert p.invert(a) == slow.invert(a)
@@ -104,6 +106,20 @@ def test_collector_matches_the_iterative_collector(name):
     assert sum(_agree(p, rng, box, 20) for box in (3, 8)) == 120
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_ordered_pair_closure_gives_the_all_pairs_generators(name):
+    """Conjugating each pivot only by those of smaller depth, as the
+    criterion for induced sequences allows, builds the same canonical
+    generators as conjugating every pivot by every other one."""
+    p = GROUPS[name]
+    rng = random.Random(f"closure {name}")
+    for _ in range(8):
+        gens = [random_element(p, rng, 3) for _ in range(rng.randint(1, 3))]
+        for normal in (False, True):
+            expected = all_pairs_subgroup_gens(p, gens, normal_closure=normal)
+            assert Subgroup(p, gens, normal_closure=normal).gens == expected
+
+
 def test_collector_matches_at_exponents_up_to_2520():
     m8 = GROUPS["M8"]
     q = QuotientMap(m8, verbal_power_subgroup(m8, 2520)).target
@@ -111,7 +127,7 @@ def test_collector_matches_at_exponents_up_to_2520():
     slow = IterativeCollector.of(q)
     rng = random.Random(2520)
     for _ in range(25):
-        a, b = q.random_element(rng), q.random_element(rng)
+        a, b = random_element(q, rng), random_element(q, rng)
         k = rng.randrange(2520)
         assert q.multiply(a, b) == slow.multiply(a, b)
         assert q.invert(a) == slow.invert(a)
@@ -199,7 +215,7 @@ def _chain_levels(p, levels=4):
 def _more_classes(p, rng):
     """An inner class, and the automorphisms g_0 -> g_0 g_j (j > 0) that
     fix every other generator, where that map is one."""
-    classes = [OuterAutoClass(inner_automorphism(p, p.random_element(rng, 2)))]
+    classes = [OuterAutoClass(inner_automorphism(p, random_element(p, rng, 2)))]
     for j in range(1, p.n):
         images = list(p.generators())
         images[0] = p.multiply(p.gen(0), p.gen(j))
@@ -273,7 +289,7 @@ def test_onto_in_the_abelianization_matches_the_closure(name):
     seen = set()
     for _ in range(150):
         size = rng.randint(1, c.n + 1)
-        images = [c.random_element(rng, 1) for _ in range(size)]
+        images = [random_element(c, rng, 1) for _ in range(size)]
         got = generates_abelianization(c, images)
         assert got == Subgroup(c, images).is_whole_group()
         seen.add(got)

@@ -14,12 +14,11 @@ from nilcert.formats import (
     parse_free_word,
     parse_gog,
     parse_pcp,
-    presentations_equal,
-    serialize_gog,
     serialize_pcp,
 )
 from nilcert.nilgroup import FiniteGroupTable, PcPresentation
 from nilcert.zmod import AbelianModule
+from oracles import presentations_equal, serialize_gog
 
 HEISENBERG = """\
 group H

@@ -671,6 +671,17 @@ def nilpotent_segment(black_image):
     )
 
 
+def test_maps_of_an_edge_share_one_module_twin():
+    """The maps of e and its reverse read one pc twin of their shared edge
+    module, kept on the module."""
+    x, _wg = nilpotent_segment((1, 0, 0))
+    e, ebar = x.attaching["e"], x.attaching["E"]
+    assert e.domain is ebar.domain
+    assert e.is_injective() and ebar.is_injective()
+    assert e._pc_domain is ebar._pc_domain
+    assert GroupMap(e.domain, e.codomain, e.images)._pc_domain is e._pc_domain
+
+
 def test_decide_nilpotent_black_equivalent():
     x1, wg1 = nilpotent_segment((1, 0, 0))
     x2, wg2 = nilpotent_segment((1, 0, 1))

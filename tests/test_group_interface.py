@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import table_closure
+from oracles import random_element, table_closure
 from nilcert.nilgroup import (
     FiniteGroupTable,
     PcPresentation,
@@ -41,7 +41,7 @@ def sampler(group):
         return lambda rng: rng.randrange(group.order)
     if isinstance(group, AbelianModule):
         return lambda rng: group.normal_form(rng.randint(-6, 6) for _ in range(group.rank))
-    return lambda rng: group.random_element(rng)
+    return lambda rng: random_element(group, rng)
 
 
 GROUPS = {

@@ -14,6 +14,7 @@ from oracles import (
     extend_table_map,
     greedy_generators,
     out_finite,
+    random_element,
     table_closure,
     table_element_order,
     table_isomorphisms,
@@ -67,7 +68,7 @@ def _random_quotient(rng):
         k = rng.choice([2, 3, 4])
         gens = [p.power(p.gen(i), k) for i in range(p.n)]
         if rng.random() < 0.3:
-            gens.append(p.random_element(rng, 1))
+            gens.append(random_element(p, rng, 1))
         kernel = Subgroup(p, gens, normal_closure=True)
         if 2 <= kernel.index_in_parent() <= 16:
             return quotient_table(p, kernel)
@@ -215,7 +216,7 @@ def test_table_map_matches_the_cayley_closure():
         for t2 in list(q.values()) + [h3]:
             for _ in range(6):
                 if t2 is h3:
-                    images = [h3.random_element(rng, 1) for _ in gens]
+                    images = [random_element(h3, rng, 1) for _ in gens]
                 else:
                     images = [rng.randrange(t2.order) for _ in gens]
                 fast = table_map(t1, t2, images)

@@ -29,6 +29,7 @@ from nilcert.zmod import AbelianModule, CapExceeded
 from oracles import (
     conjugator_by_scan,
     orbit_matches_finite,
+    random_element,
     regular_representation,
     unpruned_witness_search,
 )
@@ -598,12 +599,12 @@ def _random_instance(rng, p):
     h = GroupHom(p, p, sigma, check=False)
     s, t = [], []
     for _ in range(rng.randint(1, 2)):
-        tup = [p.random_element(rng, 2) for _ in range(rng.randint(1, 2))]
-        g = p.random_element(rng, 2)
+        tup = [random_element(p, rng, 2) for _ in range(rng.randint(1, 2))]
+        g = random_element(p, rng, 2)
         s.append(tuple(tup))
         t.append(tuple(p.conjugate(h.apply(x), p.invert(g)) for x in tup))
     if rng.random() < 0.33:
-        t[0] = (p.random_element(rng, 2),) + t[0][1:]
+        t[0] = (random_element(p, rng, 2),) + t[0][1:]
     return tuple_system(p, s), tuple_system(p, t)
 
 
