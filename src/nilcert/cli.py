@@ -31,14 +31,15 @@ from .formats import (
     parse_pcp,
     serialize_pcp,
 )
-from .gogiso import GroupMap, decide_gog_iso, identity_map, verify_gog_witness
+from .gogiso import decide_gog_iso, verify_gog_witness
 from .malcev import QMatrix, embed_matrix_group, expm, logm, matrix_to_json
 from .nilgroup import (
-    GroupHom,
+    GroupMap,
     Inconsistent,
     NotNilpotent,
     PcPresentation,
     Subgroup,
+    identity_map,
     serialize_element,
     torsion_data,
     upper_central_series,
@@ -428,7 +429,7 @@ def _verify_elusive(problem, result, transcript):
         raise VerifyFailure("elusive class list does not recompute")
     for entry in result["elusive"]:
         images = [tuple(v) for v in entry["representative_images"]]
-        cls = OuterAutoClass(GroupHom(p, p, images, check=True), check=True)
+        cls = OuterAutoClass(GroupMap(p, p, images, check=True), check=True)
         if cls.is_trivial():
             raise VerifyFailure("logged elusive class is inner")
     transcript.append(f"{len(fresh)} elusive classes recomputed and re-verified")

@@ -50,8 +50,15 @@ import json
 import os
 import re
 
-from .gogiso import Graph, GraphOfGroups, GroupMap
-from .nilgroup import Inconsistent, NotNilpotent, PcPresentation, Subgroup, quotient_table
+from .gogiso import Graph, GraphOfGroups
+from .nilgroup import (
+    GroupMap,
+    Inconsistent,
+    NotNilpotent,
+    PcPresentation,
+    Subgroup,
+    quotient_table,
+)
 from .zmod import AbelianModule, CapExceeded
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")

@@ -2,56 +2,48 @@
 
 A graph of groups assigns a group to every vertex and every edge of a
 finite graph, together with an injective attaching map from each edge
-group into the group at the terminal vertex of the edge.  This module
-provides:
+group into the group at the terminal vertex of the edge.  Vertex and edge
+groups are AbelianModule, FiniteGroupTable or PcPresentation instances,
+used through the seven-method group interface described in the
+``nilgroup`` module docstring, and every map between them is a
+``nilgroup.GroupMap``.  This module provides:
 
   - the ``Graph`` and ``GraphOfGroups`` containers with validated
     invariants, and deterministic graph isomorphism enumeration,
-  - ``GroupMap``: homomorphisms between vertex and edge groups, which
-    are AbelianModule, FiniteGroupTable or PcPresentation instances and
-    are used through the seven-method group interface described in the
-    ``nilgroup`` module docstring; exact injectivity, surjectivity and
-    preimages are decided in the pc presentation behind each group
-    (``_pc_group``), where the kinds differ no more,
   - diagram verifiers: ``verify_gog_isomorphism`` for graph-of-groups
     isomorphisms (vertex maps, edge maps and attaching elements), and
     ``verify_extension_adjustment`` for the two extension-adjustment
     conditions, plus the assembly of an isomorphism from an adjustment,
   - ``decide_gog_iso``: the decision loop that reduces isomorphism of
     bipartite graphs of groups to mixed Whitehead instances in the
-    black vertex groups; automorphisms of the white vertex groups are
-    supplied by the caller as finite orbit lists,
+    black vertex groups, whose witnesses become vertex automorphisms
+    through ``whitehead.witness_images``; automorphisms of the white
+    vertex groups are supplied by the caller as finite orbit lists,
   - ``fundamental_presentation``: a finite presentation of the
     fundamental group relative to a spanning tree, with its
     abelianization as a cross-check invariant; each vertex group
     contributes the generators and relations of the pc presentation
-    behind it.
+    behind it (``nilgroup._pc_group``).
 
 Code here branches on the kind of group only where the kinds need
-different algorithms or messages: the relation check of a map from a
-module (``GroupMap._check_relations``), the lookup of a map from a table,
-and the complete module and table searches of ``_base_isomorphism`` and
-``_conjugate_into_image``; ``solve_whitehead`` picks the solver per kind.
+different algorithms: the complete module and table searches of
+``_base_isomorphism`` and ``_conjugate_into_image``; ``solve_whitehead``
+picks the solver per kind.
 
 Conventions: conjugation is x^g = g^-1 x g throughout, matching the
 rest of the package, and abelian homomorphisms act on row vectors.
 """
 
-import functools
 import itertools
-import math
 
 from .nilgroup import (
     FiniteGroupTable,
-    PcPresentation,
-    Subgroup,
-    _Igs,
-    apply_images,
-    check_relations,
+    GroupMap,
+    _pc_element,
+    _pc_group,
+    identity_map,
     isomorphisms,
     serialize_element,
-    table_map,
-    torsion_data,
 )
 from .whitehead import (
     EQUIVALENT,
@@ -60,196 +52,9 @@ from .whitehead import (
     Verdict,
     _box_elements,
     solve_whitehead,
+    witness_images,
 )
 from .zmod import AbelianModule, AdaptedQuotient, CapExceeded
-
-
-def _pc_group(h):
-    """The pc presentation behind a group handle: for a table, the one
-    whose normal forms it numbers; for a module, its abelian twin a0, a1,
-    ... with the same coordinates (free slots first, torsion orders
-    after); a pc group itself.  The twin has no conjugation or power
-    relations, so it skips the overlap checks, which would all hold.  It
-    is built once per module and kept on the module itself, so that every
-    map from or to the module shares it and it is freed with the module;
-    the module is a frozen dataclass, hence the write to its ``__dict__``."""
-    if isinstance(h, FiniteGroupTable):
-        return h.qmap.target
-    if isinstance(h, AbelianModule):
-        twin = h.__dict__.get("_pc_twin")
-        if twin is None:
-            orders = [None] * h.free_rank + list(h.invariant_factors)
-            twin = PcPresentation([f"a{i}" for i in range(h.rank)], orders, check=False)
-            h.__dict__["_pc_twin"] = twin
-        return twin
-    return h
-
-
-def _pc_element(h, x):
-    """x as an element of ``_pc_group(h)``: a table index becomes the
-    normal form it numbers, coordinates and exponent vectors stay."""
-    return h.elements[x] if isinstance(h, FiniteGroupTable) else x
-
-
-# ---------------------------------------------------------------------------
-# homomorphisms between groups
-
-
-class GroupMap:
-    """Homomorphism between two groups with the shared interface (see the
-    ``nilgroup`` module docstring), given by the images of the domain's
-    ``generators()``.
-
-    For a FiniteGroupTable domain the generator images are checked on the
-    relations of the pc presentation the table numbers and expanded to a
-    full element map (``nilgroup.table_map``), which answers preimages
-    and injectivity by lookup.  For module and pc domains the defining
-    relations are checked on construction, a module's as commuting and
-    torsion relations, with their own messages.
-
-    The rest is decided in the pc presentations behind the two groups
-    (``_pc_group``), a module's built once per module.  The image is one
-    ``Subgroup`` there, and the map is onto when it is the whole group.
-    Preimages sift through an induced sequence of the images that carries
-    the domain generators as payloads (Holt, Eick & O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 8).  A finite domain maps
-    injectively when the image has its order.  An infinite domain maps
-    injectively when the image keeps its Hirsch length and no nontrivial
-    element of its torsion subgroup maps to the identity: a nontrivial
-    normal subgroup of a nilpotent group that meets the torsion trivially
-    is infinite, and dividing it out lowers the Hirsch length.
-    """
-
-    def __init__(self, domain, codomain, images, check=True):
-        self.domain = domain
-        self.codomain = codomain
-        n = len(domain.generators())
-        images = tuple(codomain.normal_form(im) for im in images)
-        if len(images) != n:
-            raise ValueError(f"expected {n} generator images, got {len(images)}")
-        self.images = images
-        self._full = None
-        if isinstance(domain, FiniteGroupTable):
-            self._full = self._expand_full_map()
-        elif check:
-            self._check_relations()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupMap)
-            and self.domain is other.domain
-            and self.codomain is other.codomain
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((id(self.domain), id(self.codomain), self.images))
-
-    def __repr__(self):
-        return f"GroupMap(images={self.images!r})"
-
-    def _expand_full_map(self):
-        full = table_map(self.domain, self.codomain, self.images)
-        if full is None:
-            raise ValueError("images do not respect the multiplication table")
-        return tuple(full)
-
-    def _check_relations(self):
-        c = self.codomain
-        if isinstance(self.domain, AbelianModule):
-            for i in range(len(self.images)):
-                for j in range(i + 1, len(self.images)):
-                    a, b = self.images[i], self.images[j]
-                    if c.multiply(a, b) != c.multiply(b, a):
-                        raise ValueError("images of commuting generators do not commute")
-            for k, m in enumerate(self.domain.invariant_factors):
-                img = self.images[self.domain.free_rank + k]
-                if c.power(img, m) != c.identity():
-                    raise ValueError("a torsion relation is not respected")
-            return
-        check_relations(self.domain, c, self.images)
-
-    @functools.cached_property
-    def _pc_domain(self):
-        return _pc_group(self.domain)
-
-    @functools.cached_property
-    def _pc_codomain(self):
-        return _pc_group(self.codomain)
-
-    def _pc_images(self):
-        return [_pc_element(self.codomain, im) for im in self.images]
-
-    @functools.cached_property
-    def _image(self):
-        """The image, a subgroup of the codomain's pc presentation."""
-        return Subgroup(self._pc_codomain, self._pc_images())
-
-    @functools.cached_property
-    def _igs(self):
-        """Induced sequence of the images, each carrying its domain
-        generator in the domain's pc presentation as payload."""
-        pd = self._pc_domain
-        items = [(im, pd.gen(k)) for k, im in enumerate(self._pc_images())]
-        return _Igs(self._pc_codomain, payload_parent=pd).build(items)
-
-    def apply(self, x):
-        x = self.domain.normal_form(x)
-        if self._full is not None:
-            return self._full[x]
-        return apply_images(self.codomain, self.images, x)
-
-    def preimage(self, y):
-        """Some domain element mapping to y, or None."""
-        y = self.codomain.normal_form(y)
-        if self._full is not None:
-            return self._full.index(y) if y in self._full else None
-        pay = self._igs.sift(_pc_element(self.codomain, y))
-        if pay is None:
-            return None
-        out = self.domain.normal_form(tuple(pay))
-        return out if self.apply(out) == y else None
-
-    def is_injective(self):
-        return self._injective
-
-    @functools.cached_property
-    def _injective(self):
-        if self._full is not None:
-            return len(set(self._full)) == self.domain.order
-        pd = self._pc_domain
-        image_orders = self._image.relative_orders()
-        if image_orders.count(None) != pd.orders.count(None):
-            return False
-        if None not in pd.orders:
-            return math.prod(image_orders) == math.prod(pd.orders)
-        if all(m is None for m in pd.orders):
-            return True  # a poly-Z group is torsion-free
-        ident = self.codomain.identity()
-        return all(
-            self.apply(t) != ident for t in torsion_data(pd).tau_elements if any(t)
-        )
-
-    def is_surjective(self):
-        return self._image.is_whole_group()
-
-    def is_isomorphism(self):
-        return self.is_injective() and self.is_surjective()
-
-    def serialize(self):
-        return [serialize_element(im) for im in self.images]
-
-
-def identity_map(g):
-    return GroupMap(g, g, g.generators(), check=False)
-
-
-def compose_maps(outer, inner):
-    """outer after inner (checked homomorphisms compose to a homomorphism)."""
-    if inner.codomain is not outer.domain:
-        raise ValueError("maps do not compose")
-    images = [outer.apply(im) for im in inner.images]
-    return GroupMap(inner.domain, outer.codomain, images, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +423,7 @@ def assemble_isomorphism(x1, x2, psi, adj):
     phi_v = alpha_v o psi_v, gamma_e = g_e^-1, and phi_e the chased edge
     map."""
     graph = x2.graph
-    vertex_maps = {v: compose_maps(adj.automorphisms[v], psi[v]) for v in graph.vertices}
+    vertex_maps = {v: adj.automorphisms[v].compose(psi[v]) for v in graph.vertices}
     edge_maps = {}
     attaching_elements = {}
     for e in graph.edge_pairs():
@@ -708,21 +513,13 @@ def _conjugate_into_image(vgroup, att, ys, box):
     return None, "unknown"
 
 
-def _witness_automorphism(h, witness):
-    """The automorphism of a black vertex group in a Whitehead witness.
-    Each solver records the images of ``h.generators()``: a module
-    witness as the rows of its matrix, the others as generator images."""
-    images = witness["matrix"] if "matrix" in witness else witness["generator_images"]
-    return GroupMap(h, h, images)
-
-
 def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
     """One branch of the decision loop: fixed white automorphisms, solve
     the black vertices via mixed Whitehead instances."""
     g_elems = {}
     targets = {}
     for w in whites:
-        comp = compose_maps(alphas[w], psi[w])
+        comp = alphas[w].compose(psi[w])
         for f in x2.graph.link(w):
             gens_primed = x1s.edge_groups[f].generators()
             ys = [comp.apply(x1s.attaching[f].apply(s)) for s in gens_primed]
@@ -768,7 +565,7 @@ def _try_combo(x1s, x2, psi, alphas, whites, blacks, budget):
     elems = dict(g_elems)
     for b in blacks:
         h = x2.vertex_groups[b]
-        autos[b] = _witness_automorphism(h, black_witness[b])
+        autos[b] = GroupMap(h, h, witness_images(black_witness[b]))
         for e, c in zip(x2.graph.link(b), black_witness[b]["conjugators"]):
             elems[e] = h.invert(h.normal_form(c))
     adj = ExtensionAdjustment(autos, elems)

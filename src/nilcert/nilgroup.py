@@ -48,10 +48,11 @@ holds:
                       vectors of a module, or for a table the pc generators
                       of the presentation it numbers, tail first
 
-Maps between groups of any kinds (``gogiso.GroupMap``) decide injectivity,
-surjectivity and preimages in the pc presentation behind each group: a
-module's abelian twin, with the same coordinates, a table's ``qmap.target``,
-a pc group itself.  What still tests the kind with ``isinstance``, and why:
+``GroupMap``, below, is the one map between groups of any kinds.  It
+decides injectivity, surjectivity, preimages and inverses in the pc
+presentation behind each group (``_pc_group``): a module's abelian twin,
+with the same coordinates, a table's ``qmap.target``, a pc group itself.
+What still tests the kind with ``isinstance``, and why:
 
   - a map from a module checks its commuting and torsion relations, each
     failure with its own message;
@@ -62,7 +63,9 @@ a pc group itself.  What still tests the kind with ``isinstance``, and why:
     invariants) and tables (over every element), box-limited for pc groups;
   - ``whitehead.solve_whitehead`` sends each kind to its own solver: an
     integer-matrix decision for modules, a sweep over every automorphism
-    for tables, a budgeted semi-decision for pc groups.
+    for tables, a budgeted semi-decision for pc groups.  One verifier
+    checks the witnesses of all three; only a table's lists the image of
+    every element as well.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ import itertools
 import math
 
 from .zmod import (
+    AbelianModule,
     AdaptedQuotient,
     CapExceeded,
     IndexInfinite,
@@ -1440,90 +1444,234 @@ def upper_central_series(p: PcPresentation):
 # homomorphisms
 
 
-class GroupHom:
-    """Homomorphism between pc groups, given by generator images."""
+def _pc_group(h):
+    """The pc presentation behind a group handle: for a table, the one
+    whose normal forms it numbers; for a module, its abelian twin a0, a1,
+    ... with the same coordinates (free slots first, torsion orders
+    after); a pc group itself.  The twin has no conjugation or power
+    relations, so it skips the overlap checks, which would all hold.  It
+    is built once per module and kept on the module itself, so that every
+    map from or to the module shares it and it is freed with the module;
+    the module is a frozen dataclass, hence the write to its ``__dict__``."""
+    if isinstance(h, FiniteGroupTable):
+        return h.qmap.target
+    if isinstance(h, AbelianModule):
+        twin = h.__dict__.get("_pc_twin")
+        if twin is None:
+            orders = [None] * h.free_rank + list(h.invariant_factors)
+            twin = PcPresentation([f"a{i}" for i in range(h.rank)], orders, check=False)
+            h.__dict__["_pc_twin"] = twin
+        return twin
+    return h
 
-    def __init__(self, source: PcPresentation, target: PcPresentation, images, check=True):
-        self.source = source
-        self.target = target
-        self.images = tuple(target.normal_form(v) for v in images)
-        if len(self.images) != source.n:
-            raise ValueError("need one image per generator")
-        if check:
-            self.check_relations()
 
-    def check_relations(self):
-        check_relations(self.source, self.target, self.images)
+def _pc_element(h, x):
+    """x as an element of ``_pc_group(h)``: a table index becomes the
+    normal form it numbers, coordinates and exponent vectors stay."""
+    return h.elements[x] if isinstance(h, FiniteGroupTable) else x
 
-    def apply(self, x):
-        return apply_images(self.target, self.images, self.source.normal_form(x))
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self o other (apply other first)."""
-        if other.target is not self.source:
-            raise ValueError("composition mismatch")
-        return GroupHom(
-            other.source, self.target, [self.apply(v) for v in other.images], check=False
-        )
+class GroupMap:
+    """Homomorphism between two groups with the shared interface (see the
+    module docstring), given by the images of the domain's
+    ``generators()``.
+
+    For a FiniteGroupTable domain the generator images are checked on the
+    relations of the pc presentation the table numbers and expanded to a
+    full element map (``table_map``), which answers preimages and
+    injectivity by lookup.  For module and pc domains the defining
+    relations are checked on construction unless ``check`` is false, a
+    module's as commuting and torsion relations, with their own messages.
+
+    The rest is decided in the pc presentations behind the two groups
+    (``_pc_group``), a module's built once per module.  The image is one
+    ``Subgroup`` there, and the map is onto when it is the whole group.
+    Preimages sift through an induced sequence of the images that carries
+    the domain generators as payloads (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 8).  A finite domain maps
+    injectively when the image has its order.  An infinite domain maps
+    injectively when the image keeps its Hirsch length and no nontrivial
+    element of its torsion subgroup maps to the identity: a nontrivial
+    normal subgroup of a nilpotent group that meets the torsion trivially
+    is infinite, and dividing it out lowers the Hirsch length.  An
+    endomorphism needs neither test: finitely generated nilpotent groups
+    are Hopfian (Mal'cev, 1940), so one that is onto is an automorphism.
+    """
+
+    def __init__(self, domain, codomain, images, check=True):
+        self.domain = domain
+        self.codomain = codomain
+        self._pc_domain = _pc_group(domain)
+        n = self._pc_domain.n
+        images = tuple(map(codomain.normal_form, images))
+        if len(images) != n:
+            raise ValueError(f"expected {n} generator images, got {len(images)}")
+        self.images = images
+        self._full = None
+        self._checked = check  # the relations are known to hold
+        if isinstance(domain, FiniteGroupTable):
+            full = table_map(domain, codomain, images)
+            if full is None:
+                raise ValueError("images do not respect the multiplication table")
+            self._full = tuple(full)
+            self._checked = True
+        elif check:
+            self._check_relations()
 
     def __eq__(self, other):
         return (
-            isinstance(other, GroupHom)
-            and self.source is other.source
-            and self.target is other.target
+            isinstance(other, GroupMap)
+            and self.domain is other.domain
+            and self.codomain is other.codomain
             and self.images == other.images
         )
 
     def __hash__(self):
-        return hash(self.images)
+        return hash((id(self.domain), id(self.codomain), self.images))
 
-    def is_identity(self):
-        return self.source is self.target and all(
-            self.images[i] == self.source.gen(i) for i in range(self.source.n)
-        )
+    def __repr__(self):
+        return f"GroupMap(images={self.images!r})"
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, list(self.images))
+    def _check_relations(self):
+        c = self.codomain
+        if isinstance(self.domain, AbelianModule):
+            for i in range(len(self.images)):
+                for j in range(i + 1, len(self.images)):
+                    a, b = self.images[i], self.images[j]
+                    if c.multiply(a, b) != c.multiply(b, a):
+                        raise ValueError("images of commuting generators do not commute")
+            for k, m in enumerate(self.domain.invariant_factors):
+                img = self.images[self.domain.free_rank + k]
+                if c.power(img, m) != c.identity():
+                    raise ValueError("a torsion relation is not respected")
+            return
+        check_relations(self.domain, c, self.images)
 
-    def is_surjective(self) -> bool:
-        return self.image_subgroup().is_whole_group()
+    @functools.cached_property
+    def _pc_codomain(self):
+        return _pc_group(self.codomain)
 
-    def is_automorphism(self) -> bool:
-        """For f.g. nilpotent endomorphisms surjectivity implies bijectivity."""
-        if self.source is not self.target:
-            return False
-        try:
-            self.check_relations()
-        except ValueError:
-            return False
-        return self.is_surjective()
+    def _pc_images(self):
+        return [_pc_element(self.codomain, im) for im in self.images]
 
-    def inverse(self) -> "GroupHom":
-        """Inverse of an isomorphism, via a payload-tracked induced sequence."""
-        items = [(self.images[k], self.source.gen(k)) for k in range(self.source.n)]
-        igs = _Igs(self.target, payload_parent=self.source).build(items)
-        pre_images = [igs.sift(g) for g in self.target.generators()]
+    @functools.cached_property
+    def _image(self):
+        """The image, a subgroup of the codomain's pc presentation."""
+        return Subgroup(self._pc_codomain, self._pc_images())
+
+    @functools.cached_property
+    def _igs(self):
+        """Induced sequence of the images, each carrying its domain
+        generator in the domain's pc presentation as payload."""
+        pd = self._pc_domain
+        items = [(im, pd.gen(k)) for k, im in enumerate(self._pc_images())]
+        return _Igs(self._pc_codomain, payload_parent=pd).build(items)
+
+    def apply(self, x):
+        x = self.domain.normal_form(x)
+        if self._full is not None:
+            return self._full[x]
+        return apply_images(self.codomain, self.images, x)
+
+    def preimage(self, y):
+        """Some domain element mapping to y, or None."""
+        y = self.codomain.normal_form(y)
+        if self._full is not None:
+            return self._full.index(y) if y in self._full else None
+        pay = self._igs.sift(_pc_element(self.codomain, y))
+        if pay is None:
+            return None
+        out = self.domain.normal_form(tuple(pay))
+        return out if self.apply(out) == y else None
+
+    def compose(self, inner):
+        """self after inner (checked homomorphisms compose to a homomorphism)."""
+        if inner.codomain is not self.domain:
+            raise ValueError("maps do not compose")
+        images = [self.apply(im) for im in inner.images]
+        return GroupMap(inner.domain, self.codomain, images, check=False)
+
+    def inverse(self):
+        """The inverse of an isomorphism: the preimages of the codomain's
+        generators, checked both ways round on the generators."""
+        pre_images = [self.preimage(y) for y in self.codomain.generators()]
         if None in pre_images:
             raise ValueError("homomorphism is not surjective")
-        inv = GroupHom(self.target, self.source, pre_images, check=False)
-        for k in range(self.source.n):
-            if inv.apply(self.apply(self.source.gen(k))) != self.source.gen(k):
+        inv = GroupMap(self.codomain, self.domain, pre_images, check=False)
+        for x in self.domain.generators():
+            if inv.apply(self.apply(x)) != x:
                 raise ValueError("inverse computation failed (map is not bijective)")
-        for k in range(self.target.n):
-            if self.apply(inv.apply(self.target.gen(k))) != self.target.gen(k):
+        for y in self.codomain.generators():
+            if self.apply(inv.apply(y)) != y:
                 raise ValueError("inverse computation failed (map is not bijective)")
         return inv
 
+    def is_identity(self):
+        return self.domain is self.codomain and self.images == tuple(self.domain.generators())
 
-def identity_hom(p) -> GroupHom:
-    return GroupHom(p, p, [p.gen(i) for i in range(p.n)], check=False)
+    def is_injective(self):
+        return self._injective
+
+    @functools.cached_property
+    def _injective(self):
+        if self._full is not None:
+            return len(set(self._full)) == self.domain.order
+        pd = self._pc_domain
+        image_orders = self._image.relative_orders()
+        if image_orders.count(None) != pd.orders.count(None):
+            return False
+        if None not in pd.orders:
+            return math.prod(image_orders) == math.prod(pd.orders)
+        if all(m is None for m in pd.orders):
+            return True  # a poly-Z group is torsion-free
+        ident = self.codomain.identity()
+        return all(
+            self.apply(t) != ident for t in torsion_data(pd).tau_elements if any(t)
+        )
+
+    def is_surjective(self):
+        return self._image.is_whole_group()
+
+    def is_isomorphism(self):
+        """Whether the homomorphism is bijective.  An endomorphism is when
+        it is onto (Hopfian), or for a table, when its element map is
+        one-to-one, which lookups show."""
+        if self.domain is not self.codomain:
+            return self.is_injective() and self.is_surjective()
+        return self._injective if self._full is not None else self.is_surjective()
+
+    def is_automorphism(self):
+        """Whether the map is a bijective endomorphism whose relations hold
+        (asked here if construction did not)."""
+        if self.domain is not self.codomain:
+            return False
+        if not self._checked:
+            try:
+                self._check_relations()
+            except ValueError:
+                return False
+            self._checked = True
+        return self.is_isomorphism()
+
+    def serialize(self):
+        return [serialize_element(im) for im in self.images]
 
 
-def is_inner(h: GroupHom):
+# The benchmark's trace and reference figures (perfbench/spans.py,
+# perfbench/reference.py) wrap and patch the constructor and
+# ``is_automorphism`` under this older name.
+GroupHom = GroupMap
+
+
+def identity_map(g):
+    return GroupMap(g, g, g.generators(), check=False)
+
+
+def is_inner(h: GroupMap):
     """Conjugator g with Ad_g = h, or None."""
-    if h.source is not h.target:
+    if h.domain is not h.codomain:
         raise ValueError("is_inner needs an endomorphism")
-    p = h.source
+    p = h.domain
     return simultaneous_conjugator(p, [p.gen(i) for i in range(p.n)], list(h.images))
 
 

@@ -23,19 +23,19 @@ import math
 
 from .zmod import (
     AdaptedQuotient,
+    HomModule,
     IntMatrix,
     Submodule,
     coset_representatives,
-    hom_module,
     isolator,
 )
 from .nilgroup import (
-    GroupHom,
+    GroupMap,
     PcPresentation,
     QuotientMap,
     Subgroup,
     center,
-    identity_hom,
+    identity_map,
     intersect_finite_index,
     is_inner,
     simultaneous_conjugator,
@@ -78,7 +78,7 @@ class HomStarSpace:
         self._c_from = from_sub
         self._cq = pres.abelianization()
         self.center_module = self._cq.module
-        self.hom = hom_module(self.cover.module, self.center_module)
+        self.hom = HomModule(self.cover.module, self.center_module)
         self.central_quotient = QuotientMap(p, self.nu1, check_normal=False)
 
     def center_coords(self, x):
@@ -176,20 +176,14 @@ class HomStar:
         return self.space.center_element(self.space.hom.apply(self.coords, a))
 
 
-def phi(p: PcPresentation, xi) -> HomStar:
-    """The homomorphism x -> [x, xi] induced by xi in the second upper
-    central term; additive in xi and vanishing exactly on the centre."""
-    return hom_star_space(p).phi(xi)
-
-
-def psi(f: HomStar) -> GroupHom:
+def psi(f: HomStar) -> GroupMap:
     """The automorphism x -> x f(x); psi(f) o psi(g) = psi(g + f)."""
     space = f.space
     p = space.p
     images = [
         p.multiply(p.gen(k), f.evaluate(p.gen(k))) for k in range(p.n)
     ]
-    g = GroupHom(p, p, images, check=True)
+    g = GroupMap(p, p, images, check=True)
     if not g.is_automorphism():
         raise ValueError("x -> x f(x) failed the automorphism check")
     return g
@@ -204,14 +198,14 @@ class OuterAutoClass:
     representative; two classes are equal when a composed with the
     inverse of b is inner."""
 
-    def __init__(self, representative: GroupHom, check=True, coset=None,
+    def __init__(self, representative: GroupMap, check=True, coset=None,
                  outer_order=None, power_conjugator=None):
-        if representative.source is not representative.target:
+        if representative.domain is not representative.codomain:
             raise ValueError("representative must be an endomorphism")
         if check and not representative.is_automorphism():
             raise ValueError("representative is not an automorphism")
         self.representative = representative
-        self.group = representative.source
+        self.group = representative.domain
         self.coset = coset
         self.power_conjugator = power_conjugator
         self._outer_order = outer_order
@@ -238,7 +232,7 @@ class OuterAutoClass:
         within the cap."""
         if self._outer_order is not None:
             return self._outer_order
-        power = identity_hom(self.group)
+        power = identity_map(self.group)
         for d in range(1, cap + 1):
             power = self.representative.compose(power)
             if is_inner(power) is not None:
@@ -269,7 +263,7 @@ def projection_p(a: OuterAutoClass) -> OuterAutoClass:
         qm.project(a.representative.apply(qm.lift(qm.target.gen(k))))
         for k in range(qm.target.n)
     ]
-    rep = GroupHom(qm.target, qm.target, images, check=True)
+    rep = GroupMap(qm.target, qm.target, images, check=True)
     return OuterAutoClass(rep, check=True)
 
 
@@ -510,7 +504,7 @@ class CongruenceCertificate:
         qmap = QuotientMap(p, sub, check_normal=False) if final else None
         for entry, logged in zip(self.elusive_data, final):
             images = [tuple(v) for v in entry["representative_images"]]
-            cls = OuterAutoClass(GroupHom(p, p, images, check=True), check=True)
+            cls = OuterAutoClass(GroupMap(p, p, images, check=True), check=True)
             if cls.is_trivial():
                 raise RuntimeError("logged elusive class is inner")
             check = survives(cls, qmap)

@@ -12,8 +12,9 @@ brute force over all automorphisms and conjugators.  The general
 finitely generated nilpotent one is an honest budgeted semi-decision
 that interleaves a lexicographic witness sweep with refutation in a
 family of verbal-power quotients; it can return Unknown.
-``solve_whitehead`` and ``verify_whitehead_witness`` pick the solver and
-the witness verifier for the kind of the parent group.
+``solve_whitehead`` picks the solver for the kind of the parent group;
+``verify_whitehead_witness`` re-checks the Equivalent witnesses of all
+three alike, through a ``nilgroup.GroupMap`` of the generator images.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from .zmod import (
 )
 from .nilgroup import (
     FiniteGroupTable,
-    GroupHom,
+    GroupMap,
     PcPresentation,
     isomorphisms,
     quotient_table,
@@ -277,36 +278,6 @@ def _module_matrix_apply(g: AbelianModule, w: IntMatrix, x):
     return g.normal_form(w.apply_row(tuple(x)))
 
 
-def _is_module_automorphism(g: AbelianModule, w: IntMatrix) -> bool:
-    fr = g.free_rank
-    t = len(g.invariant_factors)
-    if w.rows != g.rank or w.cols != g.rank:
-        return False
-    free_block = IntMatrix([row[:fr] for row in w.entries[:fr]], cols=fr)
-    if fr and abs(free_block.det()) != 1:
-        return False
-    # torsion generators must land in the torsion part with compatible order
-    for j, f in enumerate(g.invariant_factors):
-        row = w.entries[fr + j]
-        if any(row[:fr]):
-            return False
-        if g.normal_form(tuple(f * c for c in row)) != (0,) * g.rank:
-            return False
-    if t:
-        tm = AbelianModule(0, g.invariant_factors)
-        d_rows = [row[fr:] for row in w.entries[fr:]]
-        seen = set()
-        for y in itertools.product(*[range(f) for f in g.invariant_factors]):
-            acc = [0] * t
-            for yj, row in zip(y, d_rows):
-                for i in range(t):
-                    acc[i] += yj * row[i]
-            seen.add(tm.normal_form(acc))
-        if len(seen) != tm.order():
-            return False
-    return True
-
-
 def whitehead_abelian(g: AbelianModule, s, t, torsion_cap=4096) -> Verdict:
     """Complete decision over a finitely generated abelian group.
 
@@ -392,22 +363,6 @@ def whitehead_abelian(g: AbelianModule, s, t, torsion_cap=4096) -> Verdict:
     )
 
 
-def verify_abelian_witness(g: AbelianModule, s, t, witness) -> bool:
-    """Independent re-check: witness matrix is an automorphism and maps
-    every entry of S onto the matching entry of T."""
-    s = tuple_system(g, s)
-    t = tuple_system(g, t)
-    _check_shapes(s, t)
-    w = IntMatrix(witness["matrix"])
-    if not _is_module_automorphism(g, w):
-        return False
-    for stup, ttup in zip(s.tuples, t.tuples):
-        for a, b in zip(stup, ttup):
-            if _module_matrix_apply(g, w, a) != g.normal_form(b):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # finite case: complete brute force
 
@@ -456,36 +411,6 @@ def least_conjugators(f: FiniteGroupTable, tup):
     return orbit
 
 
-def verify_finite_witness(f: FiniteGroupTable, s, t, witness) -> bool:
-    """Independent re-check of a finite witness: the stored map is a
-    bijection that respects right multiplication by the group's own
-    generators, hence an automorphism, and carries each S_i onto T_i
-    conjugated by the i-th logged element.  The witness's "generators"
-    and "generator_images" are not read."""
-    s = tuple_system(f, s)
-    t = tuple_system(f, t)
-    _check_shapes(s, t)
-    phi = list(witness["map"])
-    conj = list(witness["conjugators"])
-    # an index is an int: true and false are not read as 1 and 0
-    if any(type(x) is not int for x in phi + conj):
-        return False
-    if sorted(phi) != list(range(f.order)) or len(conj) != len(s.tuples):
-        return False
-    if any(c not in range(f.order) for c in conj):
-        return False
-    gens = f.generators()
-    for x in range(f.order):
-        for g in gens:
-            if phi[f.multiply(x, g)] != f.multiply(phi[x], phi[g]):
-                return False
-    for stup, ttup, c in zip(s.tuples, t.tuples, conj):
-        for a, b in zip(stup, ttup):
-            if phi[a] != f.conjugate(b, c):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # general finitely generated nilpotent case: budgeted semi-decision
 
@@ -523,7 +448,7 @@ def _witness_search(p, s, t, box):
     pairs = [(x, y) for stup, ttup in zip(s.tuples, t.tuples) for x, y in zip(stup, ttup)]
     candidates = [_box_elements(p, box)] * p.n
     for images in isomorphisms(p, p, candidates, congruences=pairs):
-        h = GroupHom(p, p, images, check=False)
+        h = GroupMap(p, p, images, check=False)
         conj = []
         for stup, ttup in zip(s.tuples, t.tuples):
             mapped = [h.apply(x) for x in stup]
@@ -640,27 +565,6 @@ def whitehead_nilpotent(p: PcPresentation, s, t, budget=2,
     )
 
 
-def verify_nilpotent_witness(p: PcPresentation, s, t, witness) -> bool:
-    """Independent re-check by collection: the stored images define an
-    automorphism and sigma(S_i) = T_i^{g_i} holds exactly."""
-    s = tuple_system(p, s)
-    t = tuple_system(p, t)
-    _check_shapes(s, t)
-    try:
-        h = GroupHom(p, p, [tuple(v) for v in witness["generator_images"]],
-                     check=True)
-    except ValueError:
-        return False
-    if not h.is_automorphism() or len(witness["conjugators"]) != len(s.tuples):
-        return False
-    for stup, ttup, g in zip(s.tuples, t.tuples, witness["conjugators"]):
-        g = tuple(g)
-        for a, b in zip(stup, ttup):
-            if h.apply(a) != p.conjugate(b, g):
-                return False
-    return True
-
-
 def verify_quotient_refutation(p: PcPresentation, s, t, certificate,
                                finite_cap=512, quotient_cap=10**6) -> bool:
     """Independent re-check of a quotient refutation: rebuild the verbal
@@ -690,11 +594,44 @@ def solve_whitehead(group, s, t, budget=2, quotient_cap=10**6) -> Verdict:
     return whitehead_nilpotent(group, s, t, budget=budget, quotient_cap=quotient_cap)
 
 
+def witness_images(witness):
+    """The images of the group's ``generators()`` under the automorphism
+    of an Equivalent witness: the rows of a module witness's matrix, the
+    generator images of the others."""
+    return witness["matrix"] if "matrix" in witness else witness["generator_images"]
+
+
 def verify_whitehead_witness(group, s, t, witness) -> bool:
-    """Re-check an Equivalent witness with the verifier for the kind of
-    the group."""
-    if isinstance(group, AbelianModule):
-        return verify_abelian_witness(group, s, t, witness)
-    if isinstance(group, FiniteGroupTable):
-        return verify_finite_witness(group, s, t, witness)
-    return verify_nilpotent_witness(group, s, t, witness)
+    """Independent re-check of an Equivalent witness over a group of any
+    kind: its generator images define an automorphism sigma (the
+    relations hold and the map is onto), it holds one conjugator g_i per
+    tuple, an element of the group, and sigma(S_i) = T_i^{g_i} entry by
+    entry.  A table witness also lists the image of every element under
+    "map", which must be the map the generator images expand to.  Every
+    index, coordinate and exponent is an int: a float, string or bool is
+    not read as one.  A malformed witness is rejected, never raised on."""
+    s = tuple_system(group, s)
+    t = tuple_system(group, t)
+    _check_shapes(s, t)
+    table = isinstance(group, FiniteGroupTable)
+    try:
+        images = list(witness_images(witness))
+        conj = list(witness["conjugators"])
+        listed = list(witness["map"]) if table else []
+        entries = [y for x in images + conj + listed
+                   for y in (x if isinstance(x, (list, tuple)) else [x])]
+        if any(type(y) is not int for y in entries):
+            return False
+        sigma = GroupMap(group, group, images)
+        if not sigma.is_automorphism() or len(conj) != len(s.tuples):
+            return False
+        conj = [group.normal_form(g) for g in conj]
+        if table and listed != [sigma.apply(x) for x in range(group.order)]:
+            return False
+    except (KeyError, TypeError, ValueError):
+        return False
+    return all(
+        sigma.apply(a) == group.conjugate(b, g)
+        for stup, ttup, g in zip(s.tuples, t.tuples, conj)
+        for a, b in zip(stup, ttup)
+    )

@@ -684,8 +684,3 @@ class HomModule:
             for j in range(self.codomain.rank):
                 img[j] += xi * m[i][j]
         return self.codomain.normal_form(tuple(img))
-
-
-def hom_module(a: AbelianModule, c: AbelianModule) -> HomModule:
-    """Hom(a, c) with an explicit basis of homomorphisms."""
-    return HomModule(a, c)

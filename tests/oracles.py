@@ -14,7 +14,7 @@ from nilcert import whitehead
 from nilcert.gogiso import Presentation
 from nilcert.malcev import QMatrix, UniTriangular
 from nilcert.nilgroup import (
-    GroupHom,
+    GroupMap,
     Inconsistent,
     PcPresentation,
     QuotientMap,
@@ -30,8 +30,9 @@ from nilcert.nilgroup import (
     simultaneous_conjugator,
     verbal_power_subgroup,
 )
-from nilcert.outsep import SurvivalCheck
+from nilcert.outsep import SurvivalCheck, hom_star_space
 from nilcert.zmod import (
+    AbelianModule,
     AdaptedQuotient,
     CapExceeded,
     IndexInfinite,
@@ -305,7 +306,7 @@ def box_automorphisms(p: PcPresentation, box):
     )
     for images in image_choices:
         try:
-            h = GroupHom(p, p, list(images), check=True)
+            h = GroupMap(p, p, list(images), check=True)
         except ValueError:
             continue
         if h.is_automorphism():
@@ -650,7 +651,7 @@ def unpruned_witness_search(p, s, t, box):
     carries each tuple of s onto a conjugate of the matching tuple of t,
     with no pruning in the abelianization."""
     for images in isomorphisms(p, p, [whitehead._box_elements(p, box)] * p.n):
-        h = GroupHom(p, p, images, check=False)
+        h = GroupMap(p, p, images, check=False)
         conj = []
         for stup, ttup in zip(s, t):
             g = simultaneous_conjugator(p, list(ttup), [h.apply(x) for x in stup])
@@ -735,9 +736,9 @@ def random_element(p, rng, box=3):
     )
 
 
-def inner_automorphism(p, g) -> GroupHom:
+def inner_automorphism(p, g) -> GroupMap:
     g = p.normal_form(g)
-    return GroupHom(p, p, [p.conjugate(p.gen(i), g) for i in range(p.n)], check=False)
+    return GroupMap(p, p, [p.conjugate(p.gen(i), g) for i in range(p.n)], check=False)
 
 
 def module_element_order(m, x) -> int:
@@ -778,6 +779,12 @@ def from_center_images(space, images):
 
 def hom_star_is_zero(f) -> bool:
     return not any(f.coords)
+
+
+def phi(p: PcPresentation, xi):
+    """The homomorphism x -> [x, xi] induced by xi in the second upper
+    central term; additive in xi and vanishing exactly on the centre."""
+    return hom_star_space(p).phi(xi)
 
 
 def presentations_equal(a: PcPresentation, b: PcPresentation) -> bool:
@@ -847,3 +854,126 @@ def all_pairs_subgroup_gens(p, gens, normal_closure=False):
     items = [(p.normal_form(g), None) for g in gens]
     igs = _AllPairsIgs(p).build(items, normal_closure=normal_closure)
     return tuple(igs.piv[d][0] for d in sorted(igs.piv))
+
+
+# ---------------------------------------------------------------------------
+# Whitehead witnesses, re-checked without GroupMap
+
+
+def _is_module_automorphism(g: AbelianModule, w: IntMatrix) -> bool:
+    fr = g.free_rank
+    t = len(g.invariant_factors)
+    if w.rows != g.rank or w.cols != g.rank:
+        return False
+    free_block = IntMatrix([row[:fr] for row in w.entries[:fr]], cols=fr)
+    if fr and abs(free_block.det()) != 1:
+        return False
+    # torsion generators must land in the torsion part with compatible order
+    for j, f in enumerate(g.invariant_factors):
+        row = w.entries[fr + j]
+        if any(row[:fr]):
+            return False
+        if g.normal_form(tuple(f * c for c in row)) != (0,) * g.rank:
+            return False
+    if t:
+        tm = AbelianModule(0, g.invariant_factors)
+        d_rows = [row[fr:] for row in w.entries[fr:]]
+        seen = set()
+        for y in itertools.product(*[range(f) for f in g.invariant_factors]):
+            acc = [0] * t
+            for yj, row in zip(y, d_rows):
+                for i in range(t):
+                    acc[i] += yj * row[i]
+            seen.add(tm.normal_form(acc))
+        if len(seen) != tm.order():
+            return False
+    return True
+
+
+def _all_ints(*vector_lists):
+    return all(type(c) is int for vectors in vector_lists for v in vectors for c in v)
+
+
+def _module_witness_holds(g, s, t, witness):
+    """The matrix is an automorphism by its determinant and an enumeration
+    of the torsion, and carries each entry of S onto the matching one of T;
+    conjugation is trivial, but each tuple needs a conjugator.  Every
+    entry is an int and not a bool."""
+    if not _all_ints(witness["matrix"], witness["conjugators"]):
+        return False
+    w = IntMatrix(witness["matrix"])
+    conj = [g.normal_form(c) for c in witness["conjugators"]]
+    if not _is_module_automorphism(g, w) or len(conj) != len(s):
+        return False
+    return all(
+        g.normal_form(w.apply_row(g.normal_form(a))) == g.normal_form(b)
+        for stup, ttup in zip(s, t)
+        for a, b in zip(stup, ttup)
+    )
+
+
+def _table_witness_holds(f, s, t, witness):
+    """The element map is a bijection with phi(x y) = phi(x) phi(y) for
+    every pair x, y, the generator images are its values on
+    f.generators(), each conjugator indexes an element, every index is an
+    int and not a bool, and phi(S_i) = T_i^{c_i} entry by entry."""
+    phi = list(witness["map"])
+    images = list(witness["generator_images"])
+    conj = list(witness["conjugators"])
+    if any(type(x) is not int for x in phi + images + conj):
+        return False
+    n = f.order
+    if sorted(phi) != list(range(n)) or len(conj) != len(s):
+        return False
+    if any(not 0 <= c < n for c in conj) or images != [phi[g] for g in f.generators()]:
+        return False
+    if any(phi[f.multiply(x, y)] != f.multiply(phi[x], phi[y]) for x in range(n) for y in range(n)):
+        return False
+    return all(
+        phi[a] == f.conjugate(b, c) for stup, ttup, c in zip(s, t, conj) for a, b in zip(stup, ttup)
+    )
+
+
+def _pc_witness_holds(p, s, t, witness):
+    """Every relation of p holds among the generator images, which
+    generate p, and each S_i maps onto T_i conjugated by its conjugator.
+    Every exponent is an int and not a bool."""
+    if not _all_ints(witness["generator_images"], witness["conjugators"]):
+        return False
+    images = [p.normal_form(v) for v in witness["generator_images"]]
+    conj = [p.normal_form(g) for g in witness["conjugators"]]
+    if len(images) != p.n or len(conj) != len(s):
+        return False
+
+    def image(v):
+        out = p.identity()
+        for img, e in zip(images, v):
+            out = p.multiply(out, p.power(img, e))
+        return out
+
+    for i, j, v in p.relations():
+        lhs = p.power(images[i], p.orders[i]) if j is None else p.conjugate(images[j], images[i])
+        if lhs != image(v):
+            return False
+    if not Subgroup(p, images).is_whole_group():
+        return False
+    return all(
+        image(p.normal_form(a)) == p.conjugate(p.normal_form(b), g)
+        for stup, ttup, g in zip(s, t, conj)
+        for a, b in zip(stup, ttup)
+    )
+
+
+def whitehead_witness_holds(group, s, t, witness) -> bool:
+    """Reference re-check of an Equivalent Whitehead witness, one per kind
+    of group; False on a malformed witness."""
+    if isinstance(group, AbelianModule):
+        check = _module_witness_holds
+    elif isinstance(group, PcPresentation):
+        check = _pc_witness_holds
+    else:
+        check = _table_witness_holds
+    try:
+        return check(group, s, t, witness)
+    except (KeyError, TypeError, ValueError):
+        return False

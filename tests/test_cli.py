@@ -496,6 +496,20 @@ def test_verify_rejects_a_boolean_finite_witness_entry(field, value, tmp_path, c
     assert_verify_rejects(report, capsys)
 
 
+@pytest.mark.parametrize("field", ["generator_images", "conjugators"])
+def test_verify_rejects_a_fractional_pc_witness_exponent(field, tmp_path, capsys):
+    """An exponent is a JSON integer: 1.5 is not read as 1."""
+    instance = {"group": PC, "s": [[[1, 0, 0]]], "t": [[[1, 0, 1]]]}
+    code, _ = whitehead_round_trip(instance, ["--budget", "1"], tmp_path, capsys)
+    assert code == 0
+    report = tmp_path / "r.json"
+    data = json.loads(report.read_text())
+    witness = data["payload"]["result"]["witness"]
+    witness[field] = [[c + 0.5 if c >= 0 else c for c in v] for v in witness[field]]
+    report.write_text(json.dumps(data))
+    assert_verify_rejects(report, capsys)
+
+
 @pytest.fixture(scope="module")
 def refutation_report(tmp_path_factory):
     """The report of H3, (z) vs (z^2), refuted in G/G^4."""

@@ -20,9 +20,8 @@ from oracles import (
     verbal_power_subgroup_over_all_elements,
 )
 from nilcert import nilgroup, outsep
-from nilcert.gogiso import GroupMap
 from nilcert.nilgroup import (
-    GroupHom,
+    GroupMap,
     PcPresentation,
     QuotientMap,
     Subgroup,
@@ -220,7 +219,7 @@ def _more_classes(p, rng):
         images = list(p.generators())
         images[0] = p.multiply(p.gen(0), p.gen(j))
         try:
-            hom = GroupHom(p, p, images)
+            hom = GroupMap(p, p, images)
         except ValueError:
             continue
         if hom.is_automorphism():

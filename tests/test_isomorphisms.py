@@ -23,7 +23,7 @@ from oracles import (
 from nilcert import nilgroup
 from nilcert.formats import group_from_spec
 from nilcert.nilgroup import (
-    GroupHom,
+    GroupMap,
     PcPresentation,
     Subgroup,
     isomorphisms,
@@ -34,7 +34,7 @@ from nilcert.nilgroup import (
 )
 from nilcert.whitehead import (
     _box_elements,
-    verify_finite_witness,
+    verify_whitehead_witness,
     whitehead_finite,
     whitehead_nilpotent,
 )
@@ -95,10 +95,10 @@ def test_tables_match_brute_force_over_all_image_tuples():
 
 def test_witness_search_tests_few_whole_maps(monkeypatch):
     """On H3, (x) vs (x z) at budget 2, whole image tuples are tested (built
-    as a GroupHom, or checked for being onto) at most 1,000 times; a sweep
-    that builds a GroupHom for every tuple in the box builds 15,322."""
+    as a GroupMap, or checked for being onto) at most 1,000 times; a sweep
+    that builds a GroupMap for every tuple in the box builds 15,322."""
     tested = []
-    for cls, name in ((GroupHom, "__init__"), (Subgroup, "is_whole_group")):
+    for cls, name in ((GroupMap, "__init__"), (Subgroup, "is_whole_group")):
         original = getattr(cls, name)
 
         def counting(*args, _original=original, **kwargs):
@@ -290,7 +290,7 @@ def test_finite_answers_reach_no_collector(monkeypatch):
     x, y = gens[2], gens[1]
     verdict = whitehead_finite(t, [[x]], [[t.multiply(x, y)]])
     assert verdict.is_equivalent()
-    assert verify_finite_witness(t, [[x]], [[t.multiply(x, y)]], verdict.witness)
+    assert verify_whitehead_witness(t, [[x]], [[t.multiply(x, y)]], verdict.witness)
     refuted = whitehead_finite(t, [[x]], [[t.identity()]])
     assert refuted.certificate["aut_order"] == 432
     assert table_map(t, t, gens) == list(range(t.order))

@@ -1,5 +1,6 @@
 """Tests for polycyclic presentations, collection, subgroups and quotients."""
 
+import itertools
 import random
 
 import pytest
@@ -7,14 +8,14 @@ import pytest
 from oracles import inner_automorphism, random_element, table_closure, table_element_order
 from nilcert import nilgroup
 from nilcert.nilgroup import (
-    GroupHom,
+    GroupMap,
     Inconsistent,
     NotNilpotent,
     PcPresentation,
     Subgroup,
     center,
     centralizer,
-    identity_hom,
+    identity_map,
     intersect_finite_index,
     is_inner,
     lower_central_series,
@@ -434,12 +435,12 @@ def test_conjugator_negative_cases():
 def test_hom_rejects_relation_violation():
     p = heisenberg()
     with pytest.raises(ValueError):
-        GroupHom(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+        GroupMap(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, 1)])
 
 
 def test_hom_apply_and_compose():
     p = heisenberg()
-    h = GroupHom(p, p, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
+    h = GroupMap(p, p, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
     assert h.apply((1, 0, 0)) == (1, 0, 1)
     assert h.apply((2, 0, 0)) == (2, 0, 2)
     rng = random.Random(41)
@@ -447,13 +448,13 @@ def test_hom_apply_and_compose():
         u = random_element(p, rng, 4)
         v = random_element(p, rng, 4)
         assert h.apply(p.multiply(u, v)) == p.multiply(h.apply(u), h.apply(v))
-    assert identity_hom(p).compose(h) == h
-    assert h.compose(identity_hom(p)) == h
+    assert identity_map(p).compose(h) == h
+    assert h.compose(identity_map(p)) == h
 
 
 def test_hom_inverse_roundtrip():
     p = heisenberg()
-    h = GroupHom(p, p, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
+    h = GroupMap(p, p, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
     assert h.is_automorphism()
     hi = h.inverse()
     assert hi.images == ((1, 0, -1), (0, 1, 0), (0, 0, 1))
@@ -474,16 +475,16 @@ def test_inner_automorphism_matches_conjugation():
 def test_is_inner_fixtures():
     p = heisenberg()
     # x -> x z^2 is conjugation by y^2
-    h = GroupHom(p, p, [(1, 0, 2), (0, 1, 0), (0, 0, 1)])
+    h = GroupMap(p, p, [(1, 0, 2), (0, 1, 0), (0, 0, 1)])
     g = is_inner(h)
     assert g is not None
     assert all(p.conjugate(p.gen(i), g) == h.images[i] for i in range(3))
     # x -> x z is conjugation by y
-    h1 = GroupHom(p, p, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
+    h1 = GroupMap(p, p, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
     assert is_inner(h1) is not None
     # but not in the variant [x, y] = z^2, where only even powers of z appear
     p2 = heisenberg_k(2)
-    b = GroupHom(p2, p2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
+    b = GroupMap(p2, p2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
     assert is_inner(b) is None
     # its square is conjugation by y
     bb = b.compose(b)
@@ -495,10 +496,65 @@ def test_is_inner_fixtures():
 def test_hom_from_images_between_groups():
     p = heisenberg()
     z2 = PcPresentation(["u", "v"], [None, None])
-    q = GroupHom(p, z2, [(1, 0), (0, 1), (0, 0)])
+    q = GroupMap(p, z2, [(1, 0), (0, 1), (0, 0)])
     assert q.apply((2, 3, 7)) == (2, 3)
     assert q.is_surjective()
     assert not q.is_automorphism()
+
+
+HOPFIAN_GROUPS = {
+    "H3xC2": lambda: PcPresentation(
+        ["x", "y", "z", "w"], [None, None, None, 2], conj={(0, 1): (0, 1, -1, 0)}
+    ),
+    "M": lambda: PcPresentation(["a", "b"], [None, 4], conj={(0, 1): (0, 3)}),
+    "Q": lambda: PcPresentation(["x", "y", "z"], [None, None, 2], conj={(0, 1): (0, 1, 1)}),
+}
+
+
+def _random_endomorphisms(p, rng, count):
+    """Endomorphisms with generator images in the exponent box 1, each
+    image drawn at random among those that keep every relation on the
+    generators assigned so far."""
+    box = [tuple(v) for v in itertools.product(*[
+        range(-1, 2) if m is None else range(min(m, 2)) for m in p.orders])]
+    # the relations by their highest letter
+    rels = [[] for _ in range(p.n)]
+    for i, j, v in p.relations():
+        top = max([i] + ([] if j is None else [j]) + [k for k, e in enumerate(v) if e])
+        rels[top].append((i, j, v))
+    out = []
+    while len(out) < count:
+        images = []
+        for k in range(p.n):
+            for x in rng.sample(box, len(box)):
+                if all(nilgroup._relation_holds(p, p, images + [x], r) for r in rels[k]):
+                    images.append(x)
+                    break
+            else:
+                break
+        if len(images) == p.n:
+            out.append(images)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(HOPFIAN_GROUPS))
+def test_endomorphisms_are_isomorphisms_when_onto(name, monkeypatch):
+    """Finitely generated nilpotent groups are Hopfian, so an endomorphism
+    is an isomorphism exactly when it is onto: ``is_isomorphism`` never
+    reads the torsion subgroup, and agrees with injective and surjective
+    asked apart."""
+    p = HOPFIAN_GROUPS[name]()
+    endos = _random_endomorphisms(p, random.Random(f"hopfian-{name}"), 60)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("torsion_data was read")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(nilgroup, "torsion_data", refuse)
+        shortcut = [GroupMap(p, p, images).is_isomorphism() for images in endos]
+    both = [GroupMap(p, p, images) for images in endos]
+    assert shortcut == [m.is_injective() and m.is_surjective() for m in both]
+    assert any(shortcut) and not all(shortcut)
 
 
 # ---------------------------------------------------------------------------

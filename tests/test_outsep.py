@@ -9,10 +9,11 @@ from oracles import (
     index_in_ambient,
     inner_automorphism,
     out_finite,
+    phi,
     random_element,
 )
 from nilcert.nilgroup import (
-    GroupHom,
+    GroupMap,
     PcPresentation,
     QuotientMap,
     Subgroup,
@@ -29,7 +30,6 @@ from nilcert.outsep import (
     elusive_elements,
     good_enough_subgroup,
     hom_star_space,
-    phi,
     projection_p,
     psi,
     restriction_r,
@@ -163,7 +163,7 @@ def test_psi_phi_is_conjugation():
 
 def test_restriction_and_projection_heisenberg_swap():
     p = heisenberg()
-    swap = OuterAutoClass(GroupHom(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, -1)]))
+    swap = OuterAutoClass(GroupMap(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, -1)]))
     assert restriction_r(swap) == IntMatrix([(-1,)])
     proj = projection_p(swap)
     assert proj.representative.images == ((0, 1), (1, 0))
@@ -180,7 +180,7 @@ def test_restriction_and_projection_inner_class():
 
 def test_abelian_negation_class():
     z2 = PcPresentation(["a", "b"], [None, None])
-    neg = OuterAutoClass(GroupHom(z2, z2, [(-1, 0), (0, -1)]))
+    neg = OuterAutoClass(GroupMap(z2, z2, [(-1, 0), (0, -1)]))
     assert restriction_r(neg) == IntMatrix([(-1, 0), (0, -1)])
     assert neg.outer_order() == 2
     # the central quotient is trivial, so p carries no information
@@ -222,7 +222,7 @@ def test_elusive_h2_three_classes_of_order_two():
 
 def test_elusive_h2_contains_xz_class_with_square_ad_y():
     h2 = heisenberg(2)
-    wanted = OuterAutoClass(GroupHom(h2, h2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)]))
+    wanted = OuterAutoClass(GroupMap(h2, h2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)]))
     matches = [c for c in elusive_elements(h2) if c.same_class(wanted)]
     assert len(matches) == 1
     cls = matches[0]
@@ -352,7 +352,7 @@ def test_out_finite_cap():
 
 def test_survives_negation_of_z():
     zp = PcPresentation(["t"], [None])
-    neg = OuterAutoClass(GroupHom(zp, zp, [(-1,)]))
+    neg = OuterAutoClass(GroupMap(zp, zp, [(-1,)]))
     assert bool(survives(neg, QuotientMap(zp, Subgroup(zp, [(3,)]))))
     # mod 2 the negation becomes the identity, hence inner
     assert not survives(neg, QuotientMap(zp, Subgroup(zp, [(2,)])))
@@ -366,7 +366,7 @@ def test_survives_inner_class_never():
 
 def test_survives_h2_class_depends_on_depth():
     h2 = heisenberg(2)
-    beta = OuterAutoClass(GroupHom(h2, h2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)]))
+    beta = OuterAutoClass(GroupMap(h2, h2, [(1, 0, 1), (0, 1, 0), (0, 0, 1)]))
     shallow = survives(beta, QuotientMap(h2, Subgroup(h2, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])))
     assert not shallow and shallow.quotient_order == 27
     # mod the cube subgroup, conjugation by y^2 sends x to x z^4 = x z
@@ -377,7 +377,7 @@ def test_survives_h2_class_depends_on_depth():
 
 def test_survives_requires_preserved_subgroup():
     p = heisenberg()
-    swap = OuterAutoClass(GroupHom(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, -1)]))
+    swap = OuterAutoClass(GroupMap(p, p, [(0, 1, 0), (1, 0, 0), (0, 0, -1)]))
     lopsided = Subgroup(p, [(3, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError):
         survives(swap, QuotientMap(p, lopsided))

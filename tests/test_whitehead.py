@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from nilcert.nilgroup import GroupHom, PcPresentation, Subgroup, isomorphisms, quotient_table
+from nilcert.nilgroup import (
+    GroupMap,
+    PcPresentation,
+    Subgroup,
+    isomorphisms,
+    quotient_table,
+    verbal_power_subgroup,
+)
 from nilcert.whitehead import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -16,10 +23,8 @@ from nilcert.whitehead import (
     least_conjugators,
     refutation_exponents,
     tuple_system,
-    verify_abelian_witness,
-    verify_finite_witness,
-    verify_nilpotent_witness,
     verify_quotient_refutation,
+    verify_whitehead_witness,
     whitehead_abelian,
     whitehead_finite,
     whitehead_nilpotent,
@@ -32,6 +37,7 @@ from oracles import (
     random_element,
     regular_representation,
     unpruned_witness_search,
+    whitehead_witness_holds,
 )
 
 
@@ -108,7 +114,7 @@ def test_abelian_swap_is_equivalent():
     v = whitehead_abelian(g, [((0, 1), (1, 0))], [((1, 0), (0, 1))])
     assert v.is_equivalent()
     assert v.witness["matrix"] == [[0, 1], [1, 0]]
-    assert verify_abelian_witness(g, [((0, 1), (1, 0))], [((1, 0), (0, 1))], v.witness)
+    assert verify_whitehead_witness(g, [((0, 1), (1, 0))], [((1, 0), (0, 1))], v.witness)
 
 
 def test_abelian_two_vs_one_not_equivalent():
@@ -161,7 +167,7 @@ def test_abelian_pure_torsion_swap():
     v = whitehead_abelian(g, [((1, 0),)], [((0, 1),)])
     assert v.is_equivalent()
     assert v.witness["matrix"] == [[0, 1], [1, 0]]
-    assert verify_abelian_witness(g, [((1, 0),)], [((0, 1),)], v.witness)
+    assert verify_whitehead_witness(g, [((1, 0),)], [((0, 1),)], v.witness)
 
 
 def test_abelian_z4_generator_vs_square():
@@ -179,7 +185,7 @@ def test_abelian_shear_witness():
     v = whitehead_abelian(g, s, t)
     assert v.is_equivalent()
     assert v.witness["matrix"] == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-    assert verify_abelian_witness(g, s, t, v.witness)
+    assert verify_whitehead_witness(g, s, t, v.witness)
 
 
 def test_abelian_torsion_vs_free_entry():
@@ -201,9 +207,9 @@ def test_abelian_witness_verifier_rejects_tampering():
     t = [((1, 0), (0, 1))]
     v = whitehead_abelian(g, s, t)
     bad = {"matrix": [[2, 0], [0, 1]], "conjugators": v.witness["conjugators"]}
-    assert not verify_abelian_witness(g, s, t, bad)
+    assert not verify_whitehead_witness(g, s, t, bad)
     wrong = {"matrix": [[1, 0], [0, 1]], "conjugators": v.witness["conjugators"]}
-    assert not verify_abelian_witness(g, s, t, wrong)
+    assert not verify_whitehead_witness(g, s, t, wrong)
 
 
 def unimodular_box(bound):
@@ -293,7 +299,7 @@ def test_abelian_agrees_with_brute_force():
         expected = brute_force_abelian(g, s, t, oracle_mats)
         assert v.is_equivalent() == expected, (trial, s, t)
         if v.is_equivalent():
-            assert verify_abelian_witness(g, s, t, v.witness)
+            assert verify_whitehead_witness(g, s, t, v.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +313,14 @@ def test_finite_identity_instance():
     assert v.is_equivalent()
     assert v.witness["map"] == [0, 1, 2]
     assert v.witness["conjugators"] == [0]
-    assert verify_finite_witness(table, [(one,)], [(one,)], v.witness)
+    assert verify_whitehead_witness(table, [(one,)], [(one,)], v.witness)
 
 
 def test_finite_cyclic_inversion():
     table = finite_cyclic_table(3)
     v = whitehead_finite(table, [(table.project((1,)),)], [(table.project((2,)),)])
     assert v.is_equivalent()
-    assert verify_finite_witness(
+    assert verify_whitehead_witness(
         table, [(table.project((1,)),)], [(table.project((2,)),)], v.witness
     )
 
@@ -326,7 +332,7 @@ def test_finite_z3_squared_transitive():
     t = [(table.project((0, 1)),)]
     v = whitehead_finite(table, s, t)
     assert v.is_equivalent()
-    assert verify_finite_witness(table, s, t, v.witness)
+    assert verify_whitehead_witness(table, s, t, v.witness)
 
 
 def test_finite_z4_order_obstruction():
@@ -346,7 +352,7 @@ def test_finite_nonabelian_conjugacy():
     iz = table.project((0, 0, 1))
     v = whitehead_finite(table, [(ix,)], [(ixz,)])
     assert v.is_equivalent()
-    assert verify_finite_witness(table, [(ix,)], [(ixz,)], v.witness)
+    assert verify_whitehead_witness(table, [(ix,)], [(ixz,)], v.witness)
     w = whitehead_finite(table, [(iz,)], [(ix,)])
     assert w.is_not_equivalent()
 
@@ -364,10 +370,10 @@ def test_finite_witness_verifier_rejects_tampering():
     v = whitehead_finite(table, s, t)
     bad = dict(v.witness)
     bad["map"] = [0, 1, 1]
-    assert not verify_finite_witness(table, s, t, bad)
+    assert not verify_whitehead_witness(table, s, t, bad)
     swapped = dict(v.witness)
     swapped["map"] = [0, 1, 2]
-    assert not verify_finite_witness(table, s, t, swapped)
+    assert not verify_whitehead_witness(table, s, t, swapped)
 
 
 @pytest.mark.parametrize("generators", [[], [0]])
@@ -380,7 +386,7 @@ def test_finite_witness_verifier_checks_the_groups_own_generators(generators):
     assert whitehead_finite(table, s, t).is_not_equivalent()
     forged = {"map": [0, 2, 1, 3], "generators": generators, "generator_images": [],
               "conjugators": [0]}
-    assert not verify_finite_witness(table, s, t, forged)
+    assert not verify_whitehead_witness(table, s, t, forged)
 
 
 def test_witness_verifiers_need_one_valid_conjugator_per_tuple():
@@ -388,13 +394,13 @@ def test_witness_verifiers_need_one_valid_conjugator_per_tuple():
     table = finite_cyclic_table(4)
     s, t = [(table.project((1,)),)], [(table.project((2,)),)]
     inversion = [table.invert(x) for x in range(table.order)]
-    assert not verify_finite_witness(table, s, t, {"map": inversion, "conjugators": []})
+    assert not verify_whitehead_witness(table, s, t, {"map": inversion, "conjugators": []})
     for c in (4, -1, "0"):
-        assert not verify_finite_witness(table, s, s, {"map": [0, 1, 2, 3], "conjugators": [c]})
+        assert not verify_whitehead_witness(table, s, s, {"map": [0, 1, 2, 3], "conjugators": [c]})
     p = heisenberg()
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     witness = {"generator_images": identity, "conjugators": []}
-    assert not verify_nilpotent_witness(p, [((1, 0, 0),)], [((0, 1, 0),)], witness)
+    assert not verify_whitehead_witness(p, [((1, 0, 0),)], [((0, 1, 0),)], witness)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +430,7 @@ def test_nilpotent_conjugate_generators_witness():
         "generator_images": [[1, 0, -1], [-1, -1, -1], [0, 0, -1]],
         "conjugators": [[0, -2, 0]],
     }
-    assert verify_nilpotent_witness(p, s, t, v.witness)
+    assert verify_whitehead_witness(p, s, t, v.witness)
 
 
 def test_nilpotent_multi_tuple_witness():
@@ -437,7 +443,7 @@ def test_nilpotent_multi_tuple_witness():
         "generator_images": [[1, 0, -1], [0, 1, -1], [0, 0, 1]],
         "conjugators": [[0, -2, 0], [1, 0, 0]],
     }
-    assert verify_nilpotent_witness(p, s, t, v.witness)
+    assert verify_whitehead_witness(p, s, t, v.witness)
 
 
 def test_nilpotent_central_power_refuted():
@@ -487,10 +493,10 @@ def test_nilpotent_witness_verifier_rejects_tampering():
     v = whitehead_nilpotent(p, s, t)
     bad = dict(v.witness)
     bad["conjugators"] = [[0, 0, 0]]
-    assert not verify_nilpotent_witness(p, s, t, bad)
+    assert not verify_whitehead_witness(p, s, t, bad)
     broken = dict(v.witness)
     broken["generator_images"] = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
-    assert not verify_nilpotent_witness(p, s, t, broken)
+    assert not verify_whitehead_witness(p, s, t, broken)
 
 
 def test_quotient_refutation_verifier_rejects_tampering():
@@ -540,17 +546,17 @@ def test_orbit_and_abstract_solvers_agree():
 def test_nilpotent_witness_verifier_checks_commuting_pairs():
     # H3 x Z: w -> x w, fixing x, y, z, respects y^x = y z, the only listed
     # conjugation relation, and is onto, but breaks w^y = w
-    from nilcert.nilgroup import GroupHom
+    from nilcert.nilgroup import GroupMap
     from nilcert.outsep import OuterAutoClass
 
     p = PcPresentation(["x", "y", "z", "w"], [None] * 4, conj={(0, 1): (0, 1, 1, 0)})
     images = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
     witness = {"generator_images": images, "conjugators": [[0, 0, 0, 0]]}
-    assert not verify_nilpotent_witness(p, [((0, 0, 0, 1),)], [((1, 0, 0, 1),)], witness)
+    assert not verify_whitehead_witness(p, [((0, 0, 0, 1),)], [((1, 0, 0, 1),)], witness)
     with pytest.raises(ValueError, match="relation violated: w\\^y = w"):
-        GroupHom(p, p, images)
+        GroupMap(p, p, images)
     with pytest.raises(ValueError, match="not an automorphism"):
-        OuterAutoClass(GroupHom(p, p, images, check=False), check=True)
+        OuterAutoClass(GroupMap(p, p, images, check=False), check=True)
 
 
 def test_nilpotent_non_unit_diagonal_witness():
@@ -560,7 +566,7 @@ def test_nilpotent_non_unit_diagonal_witness():
     v = whitehead_nilpotent(p, s, t, budget=1)
     assert v.is_equivalent()
     assert v.witness == {"generator_images": [[1, 1], [0, 1]], "conjugators": [[0, 0]]}
-    assert verify_nilpotent_witness(p, s, t, v.witness)
+    assert verify_whitehead_witness(p, s, t, v.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +602,7 @@ def _random_instance(rng, p):
     conjugated tuple by tuple, sigma a random automorphism from box 1;
     a third of the time one entry of T is replaced by a random element."""
     sigma = rng.choice(list(isomorphisms(p, p, [_box_elements(p, 1)] * p.n)))
-    h = GroupHom(p, p, sigma, check=False)
+    h = GroupMap(p, p, sigma, check=False)
     s, t = [], []
     for _ in range(rng.randint(1, 2)):
         tup = [random_element(p, rng, 2) for _ in range(rng.randint(1, 2))]
@@ -648,4 +654,135 @@ def test_nilpotent_h5_a_vs_az_witness():
         ],
         "conjugators": [[0, 2, 0, 0, 0]],
     }
-    assert verify_nilpotent_witness(p, s, t, v.witness)
+    assert verify_whitehead_witness(p, s, t, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# one witness verifier for every kind of group
+
+
+def test_abelian_witness_needs_one_conjugator_per_tuple():
+    g = AbelianModule(2)
+    s, t = [((0, 1),)], [((1, 0),)]
+    v = whitehead_abelian(g, s, t)
+    assert verify_whitehead_witness(g, s, t, v.witness)
+    assert not verify_whitehead_witness(g, s, t, dict(v.witness, conjugators=[]))
+
+
+def _table(p, k=None):
+    return quotient_table(p, verbal_power_subgroup(p, k) if k else Subgroup(p, []))
+
+
+def _witness_groups():
+    h3 = heisenberg()
+    return {
+        "module": [AbelianModule(2, [2, 4])],
+        "table": [
+            _table(h3, 2),
+            _table(h3, 3),
+            _table(PcPresentation(["a", "b", "c"], [2, 2, 2], conj={(0, 1): (0, 1, 1)})),
+            finite_cyclic_table(4),
+        ],
+        "pc": [
+            h3,
+            PcPresentation(["x", "y", "z", "w"], [None, None, None, 2],
+                           conj={(0, 1): (0, 1, -1, 0)}),
+            PcPresentation(["a", "b"], [None, 4], conj={(0, 1): (0, 3)}),
+        ],
+    }
+
+
+def _solver_witnesses(kind, group, rng, count):
+    """Witnesses of Equivalent instances T = sigma(S) conjugated, sigma a
+    random automorphism, from the solver for the kind of the group."""
+    if kind == "module":
+        rank = group.rank
+        autos = []
+        while len(autos) < 20:
+            rows = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rank)]
+            if whitehead_witness_holds(group, [], [], {"matrix": rows, "conjugators": []}):
+                autos.append(GroupMap(group, group, rows))
+        sample = lambda: tuple(rng.randint(-3, 3) for _ in range(rank))  # noqa: E731
+    else:
+        gens = group.generators()
+        box = range(group.order) if kind == "table" else _box_elements(group, 1)
+        found = itertools.islice(isomorphisms(group, group, [box] * len(gens)), 20)
+        # a table map lists the image of every element, a pc map of each generator
+        autos = [GroupMap(group, group, [phi[g] for g in gens] if kind == "table" else phi)
+                 for phi in found]
+        sample = (lambda: rng.randrange(group.order)) if kind == "table" else (
+            lambda: random_element(group, rng, 2))
+    solve = {"module": whitehead_abelian, "table": whitehead_finite,
+             "pc": lambda g, s, t: whitehead_nilpotent(g, s, t, budget=1)}[kind]
+    out = []
+    while len(out) < count:
+        sigma = rng.choice(autos)
+        s = [tuple(sample() for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(1, 2))]
+        t = []
+        for tup in s:
+            c = group.invert(group.normal_form(sample()))
+            t.append(tuple(group.conjugate(sigma.apply(a), c) for a in tup))
+        verdict = solve(group, s, t)
+        if verdict.is_equivalent():
+            out.append((s, t, verdict.witness))
+    return out
+
+
+def _entries(witness):
+    """(field, index path) of every int in the witness."""
+    out = []
+    for field, value in witness.items():
+        for i, x in enumerate(value):
+            if isinstance(x, list):
+                out.extend((field, (i, j)) for j in range(len(x)))
+            else:
+                out.append((field, (i,)))
+    return out
+
+
+def _mutate(rng, witness, order):
+    """The witness with one field changed: an image entry, a conjugator or
+    a map entry moved, an int made a bool, a float or a string, or a list
+    made one too long or too short."""
+    w = json.loads(json.dumps(witness))
+    how = rng.choice(["image", "conjugator", "map", "type", "length"])
+    fields = {"image": ("matrix", "generator_images"), "conjugator": ("conjugators",),
+              "map": ("map",), "type": tuple(w), "length": tuple(w)}[how]
+    entries = [(f, path) for f, path in _entries(w) if f in fields]
+    if not entries:
+        return w
+    field, path = rng.choice(entries)
+    box = w[field] if len(path) == 1 else w[field][path[0]]
+    old = box[path[-1]]
+    if how == "type":
+        box[path[-1]] = rng.choice([bool(old) if old in (0, 1) else True, float(old), str(old)])
+    elif how == "length":
+        target = rng.choice([w[field], box])
+        if rng.random() < 0.5 and target:
+            target.pop()
+        else:
+            target.append(json.loads(json.dumps(target[0])) if target else 0)
+    elif order is not None:
+        box[path[-1]] = rng.randrange(order)
+    else:
+        box[path[-1]] = old + rng.choice([-2, -1, 1, 2])
+    return w
+
+
+@pytest.mark.parametrize("kind", ["module", "table", "pc"])
+def test_verifier_matches_the_reference_on_mutated_witnesses(kind):
+    """Solver witnesses and random single-field mutations of them: the
+    verifier accepts exactly the witnesses that an independent check for
+    the kind of group accepts (the module's determinant and torsion
+    enumeration, every product of a table's element map, a pc group's
+    relations and generation), and never raises."""
+    rng = random.Random(f"witness-mutations-{kind}")
+    for group in _witness_groups()[kind]:
+        order = group.order if kind == "table" else None
+        outcomes = []
+        for s, t, witness in _solver_witnesses(kind, group, rng, 3):
+            for w in [witness] + [_mutate(rng, witness, order) for _ in range(40)]:
+                verdict = verify_whitehead_witness(group, s, t, w)
+                assert verdict == whitehead_witness_holds(group, s, t, w), w
+                outcomes.append(verdict)
+        assert any(outcomes) and not all(outcomes)

@@ -5,12 +5,12 @@ import pytest
 from nilcert.zmod import (
     AbelianModule,
     AdaptedQuotient,
+    HomModule,
     IndexInfinite,
     IntMatrix,
     Submodule,
     coset_representatives,
     hnf,
-    hom_module,
     inverse_unimodular,
     isolator,
     saturation_basis,
@@ -248,7 +248,7 @@ def test_adapted_quotient_roundtrip():
 
 def test_hom_module_cyclic_example():
     # Hom(Z/4, Z/2) = Z/2
-    hm = hom_module(AbelianModule(0, (4,)), AbelianModule(0, (2,)))
+    hm = HomModule(AbelianModule(0, (4,)), AbelianModule(0, (2,)))
     assert hm.module == AbelianModule(0, (2,))
     assert len(hm.basis) == 1
     m = hm.basis[0]
@@ -260,7 +260,7 @@ def test_hom_module_cyclic_example():
 
 def test_hom_module_mixed():
     # Hom(Z + Z/2, Z/4): free part contributes Z/4, torsion Z/2 -> gcd 2
-    hm = hom_module(AbelianModule(1, (2,)), AbelianModule(0, (4,)))
+    hm = HomModule(AbelianModule(1, (2,)), AbelianModule(0, (4,)))
     assert hm.module.free_rank == 0
     assert hm.module.order() == 8
     # invalid matrix rejected: torsion generator cannot map to an order-4 element
@@ -281,7 +281,7 @@ def test_hom_module_counts_match_brute_force():
     for a, c in cases:
         if a.order() > 64 or c.order() > 64:
             continue
-        hm = hom_module(a, c)
+        hm = HomModule(a, c)
         assert hm.module.order() == brute_force_hom_count(a, c)
         # every coordinate gives a valid matrix and round-trips uniquely
         seen = set()
@@ -293,7 +293,7 @@ def test_hom_module_counts_match_brute_force():
 
 
 def test_hom_module_free_part():
-    hm = hom_module(AbelianModule(2), AbelianModule(1))
+    hm = HomModule(AbelianModule(2), AbelianModule(1))
     assert hm.module == AbelianModule(2)
     # application is matrix action
     f = hm.matrix((3, -1))
@@ -305,7 +305,7 @@ def test_hom_apply_is_additive():
     rng = random.Random(47)
     a = AbelianModule(1, (4,))
     c = AbelianModule(1, (2,))
-    hm = hom_module(a, c)
+    hm = HomModule(a, c)
     for _ in range(50):
         coords = tuple(rng.randint(-5, 5) for _ in range(hm.module.rank))
         coords = hm.module.normal_form(coords)
